@@ -1,5 +1,6 @@
 #include "serving/models.hpp"
 
+#include <optional>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -28,11 +29,45 @@ parseServableId(const std::string &id, ServableModelSpec &out)
     return true;
 }
 
-/** Trained float prototype + the batch everything is calibrated on. */
+/**
+ * Trained float prototype + the batch everything is calibrated on, and
+ * the quantized and converted products derived from them. The products
+ * are a pure function of (net, calibration) under the default
+ * quantize/convert parameters, so they share the prototype's key and
+ * lifetime; each is built on first use -- inside the first swap-in --
+ * and only ever handed out as clones.
+ */
 struct ServableLoader::Cached
 {
     Network net{"uninit"};
     Tensor calibration;
+
+    const QuantizedServable &
+    quantized()
+    {
+        std::call_once(quantizedOnce, [this] {
+            QuantizedServable q{net.clone(), {}};
+            q.quant = quantizeNetwork(q.net, calibration);
+            quantizedProduct.emplace(std::move(q));
+        });
+        return *quantizedProduct;
+    }
+
+    const SpikingModel &
+    spiking()
+    {
+        std::call_once(spikingOnce, [this] {
+            Network source = net.clone();
+            spikingProduct.emplace(convertToSnn(source, calibration));
+        });
+        return *spikingProduct;
+    }
+
+  private:
+    std::once_flag quantizedOnce;
+    std::optional<QuantizedServable> quantizedProduct;
+    std::once_flag spikingOnce;
+    std::optional<SpikingModel> spikingProduct;
 };
 
 ServableLoader &
@@ -42,16 +77,18 @@ ServableLoader::global()
     return loader;
 }
 
-const ServableLoader::Cached &
+ServableLoader::Cached &
 ServableLoader::cached(const ServableModelSpec &spec)
 {
     // Key on everything training depends on; mode is deliberately
     // excluded -- ann/snn/hybrid servables of one family share the
-    // trained float prototype.
+    // trained float prototype. The learning rate is keyed exactly
+    // (hexfloat): rates that differ past the default 6 printed digits
+    // train different networks.
     std::ostringstream key;
     key << spec.family << ':' << spec.imageSize << ':' << spec.classes
         << ':' << spec.trainImages << ':' << spec.epochs << ':'
-        << spec.learningRate << ':' << spec.seed;
+        << std::hexfloat << spec.learningRate << ':' << spec.seed;
 
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = cache_.find(key.str());
@@ -104,18 +141,14 @@ ServableLoader::calibration(const ServableModelSpec &spec)
 QuantizedServable
 ServableLoader::quantized(const ServableModelSpec &spec)
 {
-    const Cached &entry = cached(spec);
-    QuantizedServable out{entry.net.clone(), {}};
-    out.quant = quantizeNetwork(out.net, entry.calibration);
-    return out;
+    const QuantizedServable &q = cached(spec).quantized();
+    return {q.net.clone(), q.quant};
 }
 
 SpikingModel
 ServableLoader::spiking(const ServableModelSpec &spec)
 {
-    const Cached &entry = cached(spec);
-    Network net = entry.net.clone();
-    return convertToSnn(net, entry.calibration);
+    return cached(spec).spiking().clone();
 }
 
 ReplicaFactory
@@ -123,15 +156,16 @@ ServableLoader::makeFactory(const ServableModelSpec &spec,
                             const ReliabilityConfig &reliability,
                             const NebulaConfig &chip)
 {
+    // The replica factories clone the cached product, so a swap-in
+    // pays only for programming the chips.
     if (spec.mode == "ann") {
-        QuantizedServable q = quantized(spec);
+        const QuantizedServable &q = cached(spec).quantized();
         return makeAnnReplicaFactory(q.net, q.quant, chip,
                                      /*variation_sigma=*/0.0, spec.chipSeed,
                                      reliability);
     }
     if (spec.mode == "snn") {
-        SpikingModel model = spiking(spec);
-        return makeSnnReplicaFactory(model, chip,
+        return makeSnnReplicaFactory(cached(spec).spiking(), chip,
                                      /*variation_sigma=*/0.0, spec.chipSeed,
                                      reliability);
     }

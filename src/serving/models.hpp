@@ -3,10 +3,12 @@
  * Servable model zoo: the shared loader behind the multi-tenant model
  * registry, the serving examples and the tenancy bench. A servable is
  * a (family x mode) pair -- e.g. "lenet5/snn" -- trained once on the
- * synthetic digit set and cached in-process, so a weight *swap* costs
- * exactly what the paper says it should: re-programming crossbars
- * under write-verify (pulses/energy in the ProgramReport), never
- * re-training.
+ * synthetic digit set and cached in-process. Quantization and ANN->SNN
+ * conversion are offline algorithm steps too: each happens once per
+ * servable per process, and the product is cached next to the trained
+ * prototype. So a weight *swap* costs exactly what the paper says it
+ * should: re-programming crossbars under write-verify (pulses/energy in
+ * the ProgramReport), never re-training, re-quantizing or re-converting.
  */
 
 #ifndef NEBULA_SERVING_MODELS_HPP
@@ -60,8 +62,9 @@ struct QuantizedServable
 /**
  * Process-wide cache of trained servable prototypes, keyed by the
  * training-relevant spec fields. Training happens at most once per
- * (family, geometry, seed, schedule); everything handed out is a
- * private clone/conversion of the cached float network.
+ * (family, geometry, seed, schedule), and so do quantization and
+ * conversion of that prototype (lazily, on first use); everything
+ * handed out is a private clone of a cached network.
  */
 class ServableLoader
 {
@@ -71,10 +74,10 @@ class ServableLoader
     /** Clone of the trained (or epochs==0: seeded) float network. */
     Network trainedNetwork(const ServableModelSpec &spec);
 
-    /** Freshly quantized clone + quantization record. */
+    /** Clone of the cached quantized network + quantization record. */
     QuantizedServable quantized(const ServableModelSpec &spec);
 
-    /** Freshly converted spiking model. */
+    /** Clone of the cached converted spiking model. */
     SpikingModel spiking(const ServableModelSpec &spec);
 
     /** Calibration batch used for quantization/conversion. */
@@ -107,7 +110,7 @@ class ServableLoader
 
   private:
     struct Cached;
-    const Cached &cached(const ServableModelSpec &spec);
+    Cached &cached(const ServableModelSpec &spec);
 
     std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Cached>> cache_;

@@ -184,7 +184,10 @@ ModelRegistry::acquire(const std::string &id)
         .inc(static_cast<double>(instance->swapCost().pulses));
     metrics.counter("serving.swap.energy_j")
         .inc(instance->swapCost().programEnergy);
-    metrics.observe("serving.swap.ms", swap_ms, 0.0, 10000.0, 100);
+    // Half-millisecond buckets: swap-ins take 1-20 ms, and wider buckets
+    // put them all in bucket 0, where p50 reads as the slowest swap.
+    // Slower swaps clamp into the top bucket (max stays exact).
+    metrics.observe("serving.swap.ms", swap_ms, 0.0, 100.0, 200);
     metrics.gauge("serving.models.resident")
         .set(static_cast<double>(resident_.size()));
     NEBULA_DEBUG("serving", "swapped in model ", id, " in ", swap_ms,

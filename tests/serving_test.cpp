@@ -7,7 +7,10 @@
  * and mid-frame disconnects while answering typed errors, end-to-end
  * bit-exactness of wire logits against a local replica run with the
  * same explicit seed, the LRU weight-swap scheduler's write-verify
- * accounting, tenant quota isolation (a greedy tenant cannot consume
+ * accounting and millisecond-resolved swap histogram, the servable
+ * cache (quantize/convert once per process, independent clones, every
+ * residency programmed and answering identically, exact learning-rate
+ * keys), tenant quota isolation (a greedy tenant cannot consume
  * another tenant's service), client pipelining, and the dynamic
  * micro-batching path end to end (pipelined wire traffic coalesced by
  * the gather window stays bit-exact with per-tenant energy attribution
@@ -16,7 +19,8 @@
  *
  * Every servable here uses epochs == 0 (seeded, untrained weights):
  * the serving plumbing under test is training-agnostic and this keeps
- * the suite fast and TSan-friendly.
+ * the suite fast and TSan-friendly. The one exception is the
+ * learning-rate key test, which trains two tiny one-epoch prototypes.
  */
 
 #include <gtest/gtest.h>
@@ -26,9 +30,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <future>
+#include <map>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "nn/datasets.hpp"
@@ -381,6 +389,185 @@ TEST(ServingRegistry, AcquireTouchesLru)
     EXPECT_EQ(resident[0], "mlp3/hybrid");
     EXPECT_EQ(resident[1], "mlp3/ann");
     registry.shutdown();
+}
+
+TEST(ServingRegistry, SwapHistogramResolvesMillisecondSwaps)
+{
+    // One real swap registers serving.swap.ms with the registry's shape;
+    // reset() zeroes the samples but keeps that shape.
+    {
+        ModelRegistry registry(fastRegistry({"mlp3/ann"}, /*capacity=*/1));
+        ASSERT_NE(registry.acquire("mlp3/ann"), nullptr);
+        registry.shutdown();
+    }
+    auto &metrics = obs::MetricsRegistry::global();
+    metrics.reset();
+    for (double ms : {1.0, 1.0, 1.0, 12.0, 12.0})
+        metrics.observe("serving.swap.ms", ms);
+
+    const Histogram swaps =
+        metrics.snapshot().histogramAt("serving.swap.ms");
+    ASSERT_EQ(swaps.count(), 5u);
+    EXPECT_DOUBLE_EQ(swaps.max(), 12.0);
+    // A bucket wider than the swaps themselves would put all five in
+    // bucket 0 and report p50 as the slowest swap.
+    EXPECT_LT(swaps.p50(), swaps.max());
+    EXPECT_LT(swaps.p50(), 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Servable cache: quantize and convert once, program on every swap-in
+// ---------------------------------------------------------------------------
+
+bool
+bitEqual(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<size_t>(a.size())) == 0;
+}
+
+/** Every parameter tensor of @p a bit-equal to the same one of @p b. */
+bool
+sameParameters(Network &a, Network &b)
+{
+    const std::vector<Tensor *> pa = a.parameters();
+    const std::vector<Tensor *> pb = b.parameters();
+    if (pa.size() != pb.size())
+        return false;
+    for (size_t i = 0; i < pa.size(); ++i)
+        if (!bitEqual(*pa[i], *pb[i]))
+            return false;
+    return true;
+}
+
+bool
+sameQuantization(const QuantizationResult &a, const QuantizationResult &b)
+{
+    if (a.layers.size() != b.layers.size())
+        return false;
+    for (size_t i = 0; i < a.layers.size(); ++i) {
+        const LayerQuantInfo &x = a.layers[i];
+        const LayerQuantInfo &y = b.layers[i];
+        if (x.layerIndex != y.layerIndex || x.weightMax != y.weightMax ||
+            x.actCeiling != y.actCeiling ||
+            x.weightLevels != y.weightLevels || x.actLevels != y.actLevels)
+            return false;
+    }
+    return true;
+}
+
+TEST(ServingRegistry, EveryResidencyProgramsAndAnswersIdentically)
+{
+    ModelRegistry registry(
+        fastRegistry({"mlp3/ann", "mlp3/snn"}, /*capacity=*/1));
+    InferenceRequest request;
+    request.image = testImage(9);
+    request.timesteps = 6;
+    request.seed = 4242;
+
+    std::map<std::string, std::vector<ProgramReport>> reports;
+    std::map<std::string, std::vector<Tensor>> logits;
+    for (int residency = 0; residency < 3; ++residency)
+        for (const std::string id : {"mlp3/ann", "mlp3/snn"}) {
+            auto instance = registry.acquire(id);
+            ASSERT_NE(instance, nullptr);
+            reports[id].push_back(instance->swapCost());
+            const InferenceResult result =
+                instance->engine().submit(request).get();
+            ASSERT_TRUE(result.ok());
+            logits[id].push_back(result.logits);
+        }
+    EXPECT_EQ(registry.swapIns(), 6u);
+
+    // Every swap-in re-programs under write-verify at full cost, and the
+    // replicas it programs answer bit-identically.
+    for (const auto &[id, costs] : reports) {
+        EXPECT_GT(costs.front().pulses, 0) << id;
+        for (size_t k = 1; k < costs.size(); ++k) {
+            EXPECT_EQ(costs[k].pulses, costs.front().pulses) << id;
+            EXPECT_EQ(costs[k].cells, costs.front().cells) << id;
+            EXPECT_EQ(costs[k].failedCells, costs.front().failedCells)
+                << id;
+            EXPECT_EQ(costs[k].programEnergy, costs.front().programEnergy)
+                << id;
+            EXPECT_TRUE(bitEqual(logits[id][k], logits[id].front()))
+                << id << " residency " << k;
+        }
+    }
+    registry.shutdown();
+}
+
+TEST(ServableLoader, HandsOutIndependentClones)
+{
+    auto &loader = ServableLoader::global();
+    ServableModelSpec spec = fastSpec("mlp3/ann");
+    spec.seed = 101; // a prototype no other test shares
+
+    QuantizedServable mutated = loader.quantized(spec);
+    QuantizedServable pristine{mutated.net.clone(), mutated.quant};
+    for (Tensor *p : mutated.net.parameters())
+        p->fill(7.0f);
+    ASSERT_FALSE(mutated.quant.layers.empty());
+    mutated.quant.layers.front().weightMax = -1.0f;
+
+    QuantizedServable next = loader.quantized(spec);
+    EXPECT_TRUE(sameParameters(next.net, pristine.net));
+    EXPECT_TRUE(sameQuantization(next.quant, pristine.quant));
+    EXPECT_FALSE(sameParameters(next.net, mutated.net));
+
+    SpikingModel spiking = loader.spiking(spec);
+    SpikingModel spikingPristine = spiking.clone();
+    for (Tensor *p : spiking.net.parameters())
+        p->fill(7.0f);
+    ASSERT_FALSE(spiking.lambdas.empty());
+    spiking.lambdas.front() = -1.0f;
+
+    SpikingModel spikingNext = loader.spiking(spec);
+    EXPECT_TRUE(sameParameters(spikingNext.net, spikingPristine.net));
+    EXPECT_EQ(spikingNext.lambdas, spikingPristine.lambdas);
+    EXPECT_EQ(spikingNext.ifLayerIndices, spikingPristine.ifLayerIndices);
+}
+
+TEST(ServableLoader, ConcurrentFirstUseGivesIdenticalProducts)
+{
+    auto &loader = ServableLoader::global();
+    ServableModelSpec spec = fastSpec("lenet5/ann");
+    spec.seed = 202; // fresh key: both threads race the first build
+
+    std::atomic<bool> go{false};
+    auto build = [&] {
+        while (!go.load())
+            std::this_thread::yield();
+        QuantizedServable q = loader.quantized(spec);
+        SpikingModel s = loader.spiking(spec);
+        return std::make_pair(std::move(q), std::move(s));
+    };
+    auto first = std::async(std::launch::async, build);
+    auto second = std::async(std::launch::async, build);
+    go = true;
+    auto a = first.get();
+    auto b = second.get();
+
+    EXPECT_TRUE(sameParameters(a.first.net, b.first.net));
+    EXPECT_TRUE(sameQuantization(a.first.quant, b.first.quant));
+    EXPECT_TRUE(sameParameters(a.second.net, b.second.net));
+    EXPECT_EQ(a.second.lambdas, b.second.lambdas);
+}
+
+TEST(ServableLoader, LearningRateIsKeyedExactly)
+{
+    auto &loader = ServableLoader::global();
+    ServableModelSpec coarse = fastSpec("mlp3/ann");
+    coarse.epochs = 1;
+    coarse.seed = 303;
+    ServableModelSpec fine = coarse;
+    fine.learningRate = 0.08000001; // prints as 0.08 at 6 digits
+
+    Network a = loader.trainedNetwork(coarse);
+    Network b = loader.trainedNetwork(fine);
+    EXPECT_FALSE(sameParameters(a, b))
+        << "specs differing past the 6th digit shared one prototype";
 }
 
 // ---------------------------------------------------------------------------

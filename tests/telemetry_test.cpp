@@ -529,13 +529,15 @@ TEST(ServingTelemetry, StatuszStaysValidUnderConcurrentLoad)
     std::thread traffic([&] {
         serving::ServingClient client;
         ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+        // At least one request completes even when the statusz loop
+        // finishes before the first swap-in does.
         int i = 0;
-        while (!stop.load()) {
+        do {
             const serving::WireResponse reply = client.infer(
                 "tenant-load", "mlp3", serving::WireMode::Ann,
                 data.image(i++ % data.size()));
             EXPECT_EQ(reply.status, serving::WireStatus::Ok);
-        }
+        } while (!stop.load());
         client.close();
     });
 
