@@ -9,7 +9,7 @@
  *
  * Also measures the fast-evaluation speedup in both modes: the same
  * workload served with NebulaConfig::fastEval on (cached crossbar
- * views, sparse spike-driven SNN evaluation, batched ANN windows)
+ * views, sparse spike-driven SNN evaluation, row-batched ANN windows)
  * versus off (the preserved pre-optimization scalar loops). The
  * recorded `snn.speedup` / `ann.speedup` ratios are machine-relative,
  * so CI can regress on them without depending on absolute host speed.
@@ -97,15 +97,12 @@ workload()
 
 /** One timed serving run; returns images/sec. */
 double
-measureThroughput(int workers, int batches, double *mean_latency_ms,
-                  const BatchingConfig &batching = {},
-                  double *mean_batch_size = nullptr)
+measureThroughput(int workers, int batches, double &mean_latency_ms)
 {
     Workload &w = workload();
     EngineConfig cfg;
     cfg.numWorkers = workers;
     cfg.queueCapacity = 2 * w.images.size();
-    cfg.batching = batching;
     InferenceEngine engine(cfg, makeAnnReplicaFactory(w.net, w.quant));
 
     // Warm-up: fault in every replica's code/data paths.
@@ -138,15 +135,7 @@ measureThroughput(int workers, int batches, double *mean_latency_ms,
         }
     }
 
-    if (mean_latency_ms || mean_batch_size) {
-        const StatGroup stats = engine.runtimeStats();
-        if (mean_latency_ms)
-            *mean_latency_ms = stats.scalarAt("latency_ms").mean();
-        if (mean_batch_size)
-            *mean_batch_size = stats.hasScalar("batch.size")
-                                   ? stats.scalarAt("batch.size").mean()
-                                   : 1.0;
-    }
+    mean_latency_ms = engine.runtimeStats().scalarAt("latency_ms").mean();
     engine.shutdown();
     return served / seconds;
 }
@@ -168,7 +157,7 @@ printThroughputStudy()
     const int batches = tinyMode() ? 1 : 2;
     for (int workers : worker_counts) {
         double latency_ms = 0.0;
-        const double rate = measureThroughput(workers, batches, &latency_ms);
+        const double rate = measureThroughput(workers, batches, latency_ms);
         if (workers == 1)
             base = rate;
         bench::record("images_per_sec.w" + std::to_string(workers), rate);
@@ -186,69 +175,18 @@ printThroughputStudy()
 }
 
 /**
- * Dynamic micro-batching study at the 2-worker operating point the
- * committed baselines pin: the same saturated offered load served with
- * the gather window off vs on (drain-only, maxWaitUs = 0 -- the worker
- * coalesces whatever is already queued, adding no latency). The
- * recorded `throughput.w2.speedup.batched` ratio divides out host
- * speed, so CI regresses on it; `batch.mean_size.w2` documents how
- * large the windows actually got under this load.
- */
-void
-printBatchedThroughputStudy()
-{
-    const int batches = tinyMode() ? 1 : 2;
-
-    double lat_solo = 0.0, lat_batched = 0.0, mean_batch = 1.0;
-    const double solo = measureThroughput(2, batches, &lat_solo);
-    BatchingConfig bc;
-    bc.maxBatch = 32;
-    bc.maxWaitUs = 0;
-    const double batched =
-        measureThroughput(2, batches, &lat_batched, bc, &mean_batch);
-    const double speedup = batched / solo;
-
-    bench::record("images_per_sec.w2.batched", batched);
-    bench::record("batch.mean_size.w2", mean_batch);
-    bench::record("throughput.w2.speedup.batched", speedup);
-
-    Table table("Dynamic micro-batching, 2 workers (maxBatch=32, "
-                "drain-only window)",
-                {"config", "images/sec", "mean batch", "mean latency (ms)",
-                 "speedup"});
-    table.row()
-        .add("unbatched")
-        .add(solo, 1)
-        .add("1.00")
-        .add(lat_solo, 3)
-        .add("1.00x");
-    table.row()
-        .add("batched")
-        .add(batched, 1)
-        .add(formatDouble(mean_batch, 2))
-        .add(lat_batched, 3)
-        .add(formatRatio(speedup));
-    table.print(std::cout);
-    std::cout << "\nDrain-only batching amortizes the conductance-view "
-                 "stream across every request already queued; under a "
-                 "saturated queue the window fills to maxBatch.\n\n";
-}
-
-/**
  * Serve @p images requests through a single-worker engine built from
  * @p factory and return images/sec.
  */
 double
 measureServingRate(const ReplicaFactory &factory, int images,
-                   int timesteps, const BatchingConfig &batching = {},
-                   double *mean_batch_size = nullptr)
+                   int timesteps)
 {
     Workload &w = workload();
     EngineConfig cfg;
     cfg.numWorkers = 1;
     cfg.defaultTimesteps = std::max(timesteps, 1);
     cfg.queueCapacity = static_cast<size_t>(2 * images + 4);
-    cfg.batching = batching;
     InferenceEngine engine(cfg, factory);
 
     engine.submit(w.images[0]).get(); // warm-up
@@ -266,12 +204,6 @@ measureServingRate(const ReplicaFactory &factory, int images,
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
                 .count());
-    }
-    if (mean_batch_size) {
-        const StatGroup stats = engine.runtimeStats();
-        *mean_batch_size = stats.hasScalar("batch.size")
-                               ? stats.scalarAt("batch.size").mean()
-                               : 1.0;
     }
     engine.shutdown();
     return images / seconds;
@@ -327,49 +259,18 @@ printFastPathStudy()
             0);
     }
 
-    // The shipped ANN fast path is fastEval + the micro-batch gather
-    // window: under a saturated queue the worker flushes whole windows
-    // through the batched GEMM-style kernels, which is where the ANN
-    // mode's headline speedup comes from (solo fast evaluation only
-    // buys the cached-conductance win).
-    NebulaConfig fast_cfg;
-    fast_cfg.fastEval = true;
-    BatchingConfig bc;
-    bc.maxBatch = 32;
-    bc.maxWaitUs = 0;
-    double ann_mean_batch = 1.0;
-    const double ann_batched = measureServingRate(
-        makeAnnReplicaFactory(w.net, w.quant, fast_cfg), ann_images, 0, bc,
-        &ann_mean_batch);
-
-    const double ann_solo_speedup = ann_rates[1] / ann_rates[0];
-    const double ann_speedup = ann_batched / ann_rates[0];
-    const double ann_batch_gain = ann_batched / ann_rates[1];
+    const double ann_speedup = ann_rates[1] / ann_rates[0];
     bench::record("ann.images_per_sec.scalar", ann_rates[0]);
     bench::record("ann.images_per_sec.fast", ann_rates[1]);
-    bench::record("ann.images_per_sec.batched", ann_batched);
-    bench::record("ann.speedup.solo", ann_solo_speedup);
     bench::record("ann.speedup", ann_speedup);
-    bench::record("ann.speedup.batched", ann_batch_gain);
-    bench::record("batch.mean_size", ann_mean_batch);
     table.row().add("ann").add("scalar").add(ann_rates[0], 1).add("1.00x");
-    table.row().add("ann").add("fast solo").add(ann_rates[1], 1).add(
-        formatRatio(ann_solo_speedup));
-    table.row()
-        .add("ann")
-        .add("fast batched")
-        .add(ann_batched, 1)
-        .add(formatRatio(ann_speedup));
+    table.row().add("ann").add("fast").add(ann_rates[1], 1).add(
+        formatRatio(ann_speedup));
 
     table.print(std::cout);
     std::cout << "\nThe scalar rows run the preserved pre-optimization "
                  "loops (fastEval=false); differential tests pin both "
-                 "paths to the same numbers. The batched row gathers "
-                 "drain-only windows (mean size "
-              << formatDouble(ann_mean_batch, 2)
-              << ") through the multi-input crossbar kernels; "
-                 "`ann.speedup` compares it against scalar, "
-                 "`ann.speedup.batched` against the solo fast path.\n\n";
+                 "paths to the same numbers.\n\n";
 }
 
 /**
@@ -576,7 +477,6 @@ int
 main(int argc, char **argv)
 {
     nebula::printThroughputStudy();
-    nebula::printBatchedThroughputStudy();
     nebula::printFastPathStudy();
     nebula::printResilienceStudy();
     benchmark::Initialize(&argc, argv);

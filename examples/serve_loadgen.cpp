@@ -33,11 +33,6 @@
  *                        per-tenant SLO scoreboard and exits non-zero
  *                        when any (tenant, model) error budget is
  *                        exhausted (burn rate >= 1)
- *   --batch N            per-worker micro-batch cap for ANN model
- *                        engines (pipelined same-model requests are
- *                        coalesced at dequeue; logits stay bit-exact)
- *   --batch-wait-us N    longest a worker holds a request waiting to
- *                        fill a batch (default 0: drain-only)
  *   --admin-port P       expose /metrics /statusz /healthz on P
  *                        (0 = ephemeral; the bound port is printed)
  *   --admin-wait-sec S   keep the server (and admin endpoint) up S
@@ -253,8 +248,6 @@ main(int argc, char **argv)
     double quota_burst = 8.0;
     long long require_swaps = 0;
     double slo_ms = 0.0;
-    int max_batch = 1;
-    int batch_wait_us = 0;
     bool admin = false;
     int admin_port = 0;
     int admin_wait_sec = 0;
@@ -274,9 +267,7 @@ main(int argc, char **argv)
             intArg("--requests", requests) ||
             intArg("--resident", resident) ||
             intArg("--run-length", run_length) ||
-            intArg("--timesteps", timesteps) ||
-            intArg("--batch", max_batch) ||
-            intArg("--batch-wait-us", batch_wait_us)) {
+            intArg("--timesteps", timesteps)) {
             continue;
         } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
             rate = std::atof(argv[++i]);
@@ -312,7 +303,7 @@ main(int argc, char **argv)
                    " [--resident K] [--run-length N] [--rate R]"
                    " [--timesteps T] [--quota-rps R] [--quota-burst B]"
                    " [--require-swaps N] [--slo-ms X]"
-                   " [--batch N] [--batch-wait-us N] [--admin-port P]"
+                   " [--admin-port P]"
                    " [--admin-wait-sec S] [--abft] [--fault-rate R]\n";
             return 2;
         }
@@ -345,11 +336,6 @@ main(int argc, char **argv)
     reg_cfg.workersPerModel = 1;
     reg_cfg.engine.queueCapacity = 128;
     reg_cfg.engine.defaultTimesteps = timesteps;
-    // Dynamic micro-batching: ANN model engines coalesce pipelined
-    // same-model requests at dequeue time (logits stay bit-exact).
-    reg_cfg.engine.batching.maxBatch = std::max(1, max_batch);
-    reg_cfg.engine.batching.maxWaitUs =
-        static_cast<uint64_t>(std::max(0, batch_wait_us));
     reg_cfg.abft = abft;
     if (fault_rate > 0.0) {
         // Program every chip servable under a stuck-at map whose walls

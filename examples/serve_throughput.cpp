@@ -30,12 +30,6 @@
  * re-programs in place, and the scoreboard shows accuracy before the
  * fault, while degraded, and after recovery.
  *
- * Batching:     --batch N lets each ANN worker coalesce up to N queued
- * requests into one micro-batch (batched GEMM-style crossbar walk,
- * logits bit-identical to solo evaluation); --batch-wait-us N bounds
- * how long a worker holds a request waiting for more (default 0:
- * opportunistic draining only, no added latency).
- *
  * Telemetry:    --admin-port P exposes /metrics (Prometheus), /statusz
  * (JSON metric snapshot) and /healthz on 127.0.0.1:P for the lifetime
  * of the run (0 = ephemeral, the bound port is printed);
@@ -239,8 +233,6 @@ main(int argc, char **argv)
     obs::TraceConfig trace_cfg;
     double deadline_ms = 0.0;
     ShedPolicy shed_policy = ShedPolicy::Block;
-    int max_batch = 1;
-    long long batch_wait_us = 0;
     bool chaos = false;
     bool abft = false;
     bool admin = false;
@@ -275,11 +267,6 @@ main(int argc, char **argv)
                           << "' (block|reject|deadline)\n";
                 return 2;
             }
-        } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-            max_batch = std::max(1, std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--batch-wait-us") == 0 &&
-                   i + 1 < argc) {
-            batch_wait_us = std::max(0ll, std::atoll(argv[++i]));
         } else if (std::strcmp(argv[i], "--chaos") == 0) {
             chaos = true;
         } else if (std::strcmp(argv[i], "--abft") == 0) {
@@ -297,7 +284,6 @@ main(int argc, char **argv)
                          " [--trace out.json] [--sample N]"
                          " [--deadline-ms N]"
                          " [--shed-policy block|reject|deadline]"
-                         " [--batch N] [--batch-wait-us N]"
                          " [--chaos] [--abft] [--admin-port P]"
                          " [--admin-wait-sec S]\n";
             return 2;
@@ -348,9 +334,6 @@ main(int argc, char **argv)
                   << (shed_policy == ShedPolicy::RejectWhenFull
                           ? "reject-when-full"
                           : "deadline-aware");
-    if (max_batch > 1)
-        std::cout << ", micro-batch up to " << max_batch << " (wait "
-                  << batch_wait_us << " us)";
     if (abft)
         std::cout << ", ABFT checksum columns on";
     std::cout << "\n\n";
@@ -370,8 +353,6 @@ main(int argc, char **argv)
     ann_cfg.queueCapacity = 64;
     ann_cfg.defaultDeadlineNs = deadline_ns;
     ann_cfg.shedPolicy = shed_policy;
-    ann_cfg.batching.maxBatch = max_batch;
-    ann_cfg.batching.maxWaitUs = static_cast<uint64_t>(batch_wait_us);
     if (abft)
         ann_cfg.abft.fallback = makeFunctionalAnnReplicaFactory(net);
     InferenceEngine ann_engine(ann_cfg,

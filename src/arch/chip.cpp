@@ -752,444 +752,6 @@ NebulaChip::runAnn(const Tensor &image)
 }
 
 void
-NebulaChip::evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
-                               std::vector<ChipStats> &per_image)
-{
-    const int nimg = static_cast<int>(xs.size());
-    NEBULA_ASSERT(per_image.size() == xs.size(),
-                  "per-image stats vector mismatch");
-    if (nimg == 1 || !config_.fastEval) {
-        // Nothing to amortize (or the fast crossbar path is off):
-        // solo walk per image, splitting the stats delta per image.
-        for (int b = 0; b < nimg; ++b) {
-            const ChipStats before = stats_;
-            xs[static_cast<size_t>(b)] =
-                evaluateLayer(layer, xs[static_cast<size_t>(b)], false);
-            ChipStats &ps = per_image[static_cast<size_t>(b)];
-            ps.crossbarEvals +=
-                stats_.crossbarEvals - before.crossbarEvals;
-            ps.crossbarEnergy +=
-                stats_.crossbarEnergy - before.crossbarEnergy;
-            ps.abftChecks += stats_.abftChecks - before.abftChecks;
-            ps.abftViolations +=
-                stats_.abftViolations - before.abftViolations;
-            ps.adcConversions +=
-                stats_.adcConversions - before.adcConversions;
-        }
-        return;
-    }
-
-    obs::TraceSpan span("chip", "layer.eval", config_.traceChip);
-    span.arg("layer", static_cast<double>(layer.map.layerIndex));
-    span.arg("batch", static_cast<double>(nimg));
-    const long long evals_before = stats_.crossbarEvals;
-
-    const Layer &src = *layer.source;
-    const DacDriver dac(config_.precisionBits, 0.75);
-    const float in_ceiling = layer.inputCeiling;
-    const int levels = 1 << config_.precisionBits;
-    const float step = layer.hasActivation
-                           ? layer.outputCeiling / (levels - 1)
-                           : 0.0f;
-
-    // The DAC has only `levels` distinct outputs: tabulate them once
-    // so the per-element normalize is a clamp + quantize + load.
-    std::vector<double> dac_out(static_cast<size_t>(levels));
-    for (int c = 0; c < levels; ++c)
-        dac_out[static_cast<size_t>(c)] = dac.normalizedOutput(c);
-    auto normalize = [&](float v) {
-        double x =
-            std::clamp(static_cast<double>(v) / in_ceiling, 0.0, 1.0);
-        return dac_out[static_cast<size_t>(dac.quantize(x))];
-    };
-    // Clamp + DAC quantization once per input element per image, the
-    // same precompute the solo fast path runs.
-    std::vector<std::vector<double>> norm(static_cast<size_t>(nimg));
-    for (int b = 0; b < nimg; ++b) {
-        const Tensor &x = xs[static_cast<size_t>(b)];
-        auto &n = norm[static_cast<size_t>(b)];
-        n.resize(static_cast<size_t>(x.size()));
-        for (long long i = 0; i < x.size(); ++i)
-            n[static_cast<size_t>(i)] = normalize(x[i]);
-    }
-
-    // Per-column bias drive is window-invariant: hoist its divide out
-    // of the per-window loop. Lazily built per group on first use with
-    // the exact expression the per-window code ran, so the added
-    // currents are bit-identical.
-    std::vector<std::vector<double>> bias_drive(layer.groups.size());
-    auto biasDrive = [&](size_t g, int group_offset,
-                         double kappa) -> const double * {
-        auto &bd = bias_drive[g];
-        if (bd.empty()) {
-            const int cols = layer.groups[g]->cols();
-            bd.resize(static_cast<size_t>(cols));
-            for (int j = 0; j < cols; ++j)
-                bd[static_cast<size_t>(j)] =
-                    kappa *
-                    layer.bias[static_cast<size_t>(group_offset + j)] /
-                    (layer.weightScale * in_ceiling);
-        }
-        return bd.data();
-    };
-    // Scratch shared across windows/groups (grow-only, no per-window
-    // allocation).
-    std::vector<int> codes;
-    std::vector<double> batch_currents;
-
-    /**
-     * Evaluate one column group for @p batch windows spanning the
-     * whole image batch (@p per_img consecutive windows per image,
-     * image-major) and emit (window, kernel, value). The per-window
-     * arithmetic is the identical expression sequence as the solo
-     * evalGroup/evalGroupBatch lambdas in evaluateLayer, so values are
-     * bit-identical to per-image evaluation; per-image crossbar
-     * evals/energy come from the batch eval's per-window energies.
-     */
-    auto evalGroupBatch = [&](size_t g, int group_offset, bool use_nu,
-                              const std::vector<double> &windows,
-                              int batch, int per_img, auto &&emit) {
-        CrossbarArray &xbar = *layer.groups[g];
-        const CrossbarBatchEval eval =
-            xbar.evaluateIdealBatch(windows, batch, config_.cycleTime);
-        stats_.crossbarEvals += batch;
-        stats_.crossbarEnergy += eval.energy;
-        for (int b = 0; b < batch; ++b) {
-            ChipStats &ps = per_image[static_cast<size_t>(b / per_img)];
-            ++ps.crossbarEvals;
-            ps.crossbarEnergy += eval.energies[static_cast<size_t>(b)];
-            if (config_.abft) {
-                // Per-window verdicts attribute to the image whose
-                // window raised them, so a batched violation flags
-                // only the affected request.
-                const CrossbarCheck &check =
-                    eval.checks[static_cast<size_t>(b)];
-                stats_.abftChecks += check.checks;
-                stats_.abftViolations += check.violations;
-                stats_.adcConversions += check.checks;
-                ps.abftChecks += check.checks;
-                ps.abftViolations += check.violations;
-                ps.adcConversions += check.checks;
-            }
-        }
-        const double kappa = xbar.currentScale();
-        const int cols = xbar.cols();
-        std::vector<double> &currents = batch_currents;
-        currents.resize(static_cast<size_t>(cols));
-        for (int b = 0; b < batch; ++b) {
-            const double *cur =
-                eval.currents.data() + static_cast<size_t>(b) * cols;
-            if (use_nu) {
-                const double *bias_cur =
-                    biasDrive(g, group_offset, kappa);
-                for (int j = 0; j < cols; ++j)
-                    currents[static_cast<size_t>(j)] =
-                        cur[j] + bias_cur[j];
-                codes.resize(static_cast<size_t>(cols));
-                layer.nus[g]->evaluateInto(currents.data(), cols,
-                                           codes.data());
-                for (int j = 0; j < cols; ++j)
-                    emit(b, group_offset + j,
-                         static_cast<float>(
-                             codes[static_cast<size_t>(j)] * step));
-            } else {
-                for (int j = 0; j < cols; ++j) {
-                    const double sum_norm = cur[j] / kappa;
-                    emit(b, group_offset + j,
-                         static_cast<float>(
-                             sum_norm * layer.weightScale * in_ceiling +
-                             layer.bias[static_cast<size_t>(group_offset +
-                                                            j)]));
-                }
-            }
-        }
-    };
-
-    const bool use_nu = layer.hasActivation;
-    const int kernels = src.numKernels();
-    std::vector<Tensor> outs;
-    outs.reserve(static_cast<size_t>(nimg));
-
-    if (src.kind() == LayerKind::Linear) {
-        const auto &fc = static_cast<const Linear &>(src);
-        const long long in_f = fc.inFeatures();
-        std::vector<double> windows(static_cast<size_t>(nimg) * in_f);
-        for (int b = 0; b < nimg; ++b) {
-            NEBULA_ASSERT(xs[static_cast<size_t>(b)].size() == in_f,
-                          "linear input mismatch on chip");
-            std::copy(norm[static_cast<size_t>(b)].begin(),
-                      norm[static_cast<size_t>(b)].end(),
-                      windows.begin() + static_cast<size_t>(b) * in_f);
-        }
-        for (int b = 0; b < nimg; ++b)
-            outs.emplace_back(Tensor({1, kernels}));
-        std::vector<float *> out_ptrs(static_cast<size_t>(nimg));
-        for (int b = 0; b < nimg; ++b)
-            out_ptrs[static_cast<size_t>(b)] =
-                outs[static_cast<size_t>(b)].data();
-        for (size_t g = 0; g < layer.groups.size(); ++g)
-            evalGroupBatch(g, static_cast<int>(g) * config_.atomicSize,
-                           use_nu, windows, nimg, 1,
-                           [&](int b, int kernel, float value) {
-                               out_ptrs[static_cast<size_t>(b)][kernel] =
-                                   value;
-                           });
-    } else if (src.kind() == LayerKind::Conv) {
-        const auto &conv = static_cast<const Conv2d &>(src);
-        const int k = conv.kernel(), stride = conv.stride(),
-                  pad = conv.padding();
-        const int in_c = conv.inChannels();
-        const int in_h = xs[0].dim(2), in_w = xs[0].dim(3);
-        const int out_h = (in_h + 2 * pad - k) / stride + 1;
-        const int out_w = (in_w + 2 * pad - k) / stride + 1;
-        const int rf_conv = conv.receptiveField();
-
-        for (int b = 0; b < nimg; ++b) {
-            NEBULA_ASSERT(xs[static_cast<size_t>(b)].dim(2) == in_h &&
-                              xs[static_cast<size_t>(b)].dim(3) == in_w,
-                          "mixed image shapes in one micro-batch");
-            outs.emplace_back(Tensor({1, kernels, out_h, out_w}));
-        }
-        std::vector<float *> out_ptrs(static_cast<size_t>(nimg));
-        for (int b = 0; b < nimg; ++b)
-            out_ptrs[static_cast<size_t>(b)] =
-                outs[static_cast<size_t>(b)].data();
-
-        auto gatherWindow = [&](const std::vector<double> &n, int oh,
-                                int ow, double *window) {
-            size_t r = 0;
-            for (int c = 0; c < in_c; ++c)
-                for (int kh = 0; kh < k; ++kh)
-                    for (int kw = 0; kw < k; ++kw, ++r) {
-                        const int ih = oh * stride - pad + kh;
-                        const int iw = ow * stride - pad + kw;
-                        window[r] =
-                            (ih < 0 || ih >= in_h || iw < 0 || iw >= in_w)
-                                ? 0.0
-                                : n[static_cast<size_t>(
-                                      (static_cast<long long>(c) * in_h +
-                                       ih) *
-                                          in_w +
-                                      iw)];
-                    }
-        };
-
-        // One output row of windows per image per crossbar call,
-        // image-major: the cached conductance matrix streams once per
-        // nimg * out_w windows.
-        std::vector<double> windows(static_cast<size_t>(nimg) * out_w *
-                                    rf_conv);
-        for (int oh = 0; oh < out_h; ++oh) {
-            for (int b = 0; b < nimg; ++b)
-                for (int ow = 0; ow < out_w; ++ow)
-                    gatherWindow(norm[static_cast<size_t>(b)], oh, ow,
-                                 windows.data() +
-                                     (static_cast<size_t>(b) * out_w + ow) *
-                                         rf_conv);
-            for (size_t g = 0; g < layer.groups.size(); ++g)
-                evalGroupBatch(
-                    g, static_cast<int>(g) * config_.atomicSize, use_nu,
-                    windows, nimg * out_w, out_w,
-                    [&](int w, int kernel, float value) {
-                        out_ptrs[static_cast<size_t>(w / out_w)]
-                                [(static_cast<size_t>(kernel) * out_h +
-                                  oh) *
-                                     out_w +
-                                 w % out_w] = value;
-                    });
-        }
-    } else if (src.kind() == LayerKind::DwConv) {
-        const auto &conv = static_cast<const DwConv2d &>(src);
-        const int k = conv.kernel(), stride = conv.stride(),
-                  pad = conv.padding();
-        const int channels = conv.channels();
-        const int in_h = xs[0].dim(2), in_w = xs[0].dim(3);
-        const int out_h = (in_h + 2 * pad - k) / stride + 1;
-        const int out_w = (in_w + 2 * pad - k) / stride + 1;
-        const int kpa = layer.dwKernelsPerAc;
-        NEBULA_ASSERT(kpa > 0, "depthwise layer not diagonal-packed");
-
-        for (int b = 0; b < nimg; ++b) {
-            NEBULA_ASSERT(xs[static_cast<size_t>(b)].dim(2) == in_h &&
-                              xs[static_cast<size_t>(b)].dim(3) == in_w,
-                          "mixed image shapes in one micro-batch");
-            outs.emplace_back(Tensor({1, channels, out_h, out_w}));
-        }
-        std::vector<float *> out_ptrs(static_cast<size_t>(nimg));
-        for (int b = 0; b < nimg; ++b)
-            out_ptrs[static_cast<size_t>(b)] =
-                outs[static_cast<size_t>(b)].data();
-
-        std::vector<double> windows;
-        for (int oh = 0; oh < out_h; ++oh) {
-            for (int ow = 0; ow < out_w; ++ow) {
-                for (size_t g = 0; g < layer.groups.size(); ++g) {
-                    CrossbarArray &xbar = *layer.groups[g];
-                    const int local = xbar.cols();
-                    const int rows = xbar.rows();
-                    windows.assign(static_cast<size_t>(nimg) * rows,
-                                   0.0);
-                    for (int b = 0; b < nimg; ++b) {
-                        const auto &n = norm[static_cast<size_t>(b)];
-                        double *window =
-                            windows.data() +
-                            static_cast<size_t>(b) * rows;
-                        for (int j = 0; j < local; ++j) {
-                            const int c = static_cast<int>(g) * kpa + j;
-                            size_t r = static_cast<size_t>(j) * k * k;
-                            for (int kh = 0; kh < k; ++kh)
-                                for (int kw = 0; kw < k; ++kw, ++r) {
-                                    const int ih = oh * stride - pad + kh;
-                                    const int iw = ow * stride - pad + kw;
-                                    window[r] =
-                                        (ih < 0 || ih >= in_h || iw < 0 ||
-                                         iw >= in_w)
-                                            ? 0.0
-                                            : n[static_cast<size_t>(
-                                                  (static_cast<long long>(
-                                                       c) *
-                                                       in_h +
-                                                   ih) *
-                                                      in_w +
-                                                  iw)];
-                                }
-                        }
-                    }
-                    evalGroupBatch(g, static_cast<int>(g) * kpa, use_nu,
-                                   windows, nimg, 1,
-                                   [&](int b, int kernel, float value) {
-                                       out_ptrs[static_cast<size_t>(b)]
-                                               [(static_cast<size_t>(
-                                                     kernel) *
-                                                     out_h +
-                                                 oh) *
-                                                    out_w +
-                                                ow] = value;
-                                   });
-                }
-            }
-        }
-    } else {
-        NEBULA_PANIC("unsupported weight layer on chip: ", src.name());
-    }
-    span.arg("crossbar_evals",
-             static_cast<double>(stats_.crossbarEvals - evals_before));
-    xs = std::move(outs);
-}
-
-AnnBatchResult
-NebulaChip::runAnnBatch(const std::vector<Tensor> &images)
-{
-    NEBULA_ASSERT(annNet_, "no ANN programmed");
-    AnnBatchResult result;
-    const int nimg = static_cast<int>(images.size());
-
-    // Kernel-friendly block size: the batched crossbar kernels already
-    // amortize the conductance stream across 4-window register tiles,
-    // so wider layer walks buy no further arithmetic -- they only grow
-    // the per-layer window/current buffers past L1. Blocks of 8 images
-    // measured fastest on the development host; splitting is exact
-    // (each block is an independent full-precision walk).
-    constexpr int kImageBlock = 8;
-    if (nimg > kImageBlock) {
-        result.perImage.reserve(static_cast<size_t>(nimg));
-        result.logits.reserve(static_cast<size_t>(nimg));
-        for (int s = 0; s < nimg; s += kImageBlock) {
-            const int n = std::min(kImageBlock, nimg - s);
-            std::vector<Tensor> block(images.begin() + s,
-                                      images.begin() + s + n);
-            AnnBatchResult part = runAnnBatch(block);
-            for (auto &t : part.logits)
-                result.logits.push_back(std::move(t));
-            for (auto &ps : part.perImage)
-                result.perImage.push_back(ps);
-        }
-        return result;
-    }
-
-    result.perImage.assign(static_cast<size_t>(nimg), ChipStats());
-    if (nimg == 0)
-        return result;
-    Network &net = *annNet_;
-
-    std::vector<Tensor> xs;
-    xs.reserve(static_cast<size_t>(nimg));
-    for (const Tensor &image : images) {
-        std::vector<int> batched;
-        batched.push_back(1);
-        for (int d = 0; d < image.rank(); ++d)
-            batched.push_back(image.dim(d));
-        xs.push_back(image.reshaped(batched));
-    }
-
-    const long long evals_before = stats_.crossbarEvals;
-    const long long adc_before = stats_.adcConversions;
-    const long long checks_before = stats_.abftChecks;
-    const long long violations_before = stats_.abftViolations;
-
-    size_t next_mapped = 0;
-    for (int i = 0; i < net.numLayers(); ++i) {
-        Layer &layer = net.layer(i);
-        if (layer.isWeightLayer()) {
-            NEBULA_ASSERT(next_mapped < layers_.size(),
-                          "unmapped weight layer");
-            MappedLayer &mapped = layers_[next_mapped++];
-            evaluateLayerBatch(mapped, xs, result.perImage);
-            if (!mapped.hasActivation) {
-                // Output layer: partial sums digitized by the ADC.
-                for (int b = 0; b < nimg; ++b) {
-                    const long long n = xs[static_cast<size_t>(b)].size();
-                    stats_.adcConversions += n;
-                    result.perImage[static_cast<size_t>(b)]
-                        .adcConversions += n;
-                }
-                obs::recordInstant("chip", "adc.convert",
-                                   config_.traceChip);
-            }
-            // Inter-layer traffic: 4-bit activations to the next core,
-            // one packet per image exactly as the solo walk bills.
-            obs::TraceSpan noc_span("noc", "transfer", config_.traceChip);
-            long long bits = 0;
-            for (int b = 0; b < nimg; ++b) {
-                const long long image_bits =
-                    xs[static_cast<size_t>(b)].size() *
-                    config_.precisionBits;
-                bits += image_bits;
-                const double joules =
-                    noc_.transferEnergy({0, 0}, {1, 0}, image_bits);
-                stats_.nocPackets++;
-                stats_.nocEnergy += joules;
-                ChipStats &ps = result.perImage[static_cast<size_t>(b)];
-                ps.nocPackets++;
-                ps.nocEnergy += joules;
-            }
-            noc_span.arg("bits", static_cast<double>(bits));
-        } else if (layer.kind() == LayerKind::ClippedRelu) {
-            // Already applied by the preceding layer's neuron units.
-            continue;
-        } else {
-            for (int b = 0; b < nimg; ++b)
-                xs[static_cast<size_t>(b)] =
-                    layer.forward(xs[static_cast<size_t>(b)], false);
-        }
-    }
-    auto &registry = obs::MetricsRegistry::global();
-    registry.counter("chip.crossbar_evals")
-        .inc(static_cast<double>(stats_.crossbarEvals - evals_before));
-    registry.counter("chip.adc_conversions")
-        .inc(static_cast<double>(stats_.adcConversions - adc_before));
-    if (config_.abft) {
-        registry.counter("abft.checks")
-            .inc(static_cast<double>(stats_.abftChecks - checks_before));
-        registry.counter("abft.violations")
-            .inc(static_cast<double>(stats_.abftViolations -
-                                     violations_before));
-    }
-    result.logits = std::move(xs);
-    return result;
-}
-
-void
 NebulaChip::programSnn(SpikingModel &model)
 {
     snnModel_ = &model;

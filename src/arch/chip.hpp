@@ -70,19 +70,6 @@ struct ChipStats
 EnergyBreakdown estimateEnergyBreakdown(const ChipStats &before,
                                         const ChipStats &after, Mode mode);
 
-/**
- * Result of one micro-batched ANN run: per-image logits plus the
- * per-image slice of the chip activity, so callers can attribute
- * energy/metrics to individual requests after a shared batched
- * evaluation. Summing perImage equals the chip's stats() delta for
- * the whole batch.
- */
-struct AnnBatchResult
-{
-    std::vector<Tensor> logits;      //!< one (1, classes) row per image
-    std::vector<ChipStats> perImage; //!< per-image activity deltas
-};
-
 /** The NEBULA chip functional model. */
 class NebulaChip
 {
@@ -98,19 +85,6 @@ class NebulaChip
 
     /** Run one (C, H, W) image through the programmed ANN. */
     Tensor runAnn(const Tensor &image);
-
-    /**
-     * Run a micro-batch of same-shape images through the programmed
-     * ANN in one layer-by-layer walk. Weight layers stream each cached
-     * conductance matrix once per batch (GEMM-style multi-window
-     * kernels) instead of once per image, so the matrix traffic is
-     * amortized across the batch. Per-image logits are bit-identical
-     * to runAnn() on the same chip state: every window goes through
-     * the identical clamp/DAC/crossbar/neuron-unit expression
-     * sequence, only grouped differently. Per-image activity is
-     * returned alongside so callers can split energy attribution.
-     */
-    AnnBatchResult runAnnBatch(const std::vector<Tensor> &images);
 
     /** Program a converted spiking model onto SNN-mode crossbars. */
     void programSnn(SpikingModel &model);
@@ -229,18 +203,6 @@ class NebulaChip
      */
     Tensor evaluateLayer(MappedLayer &layer, const Tensor &input,
                          bool binary);
-
-    /**
-     * Batched ANN form of evaluateLayer: replace each xs[b] with the
-     * layer's real-unit output, evaluating all images' windows of a
-     * column group through one evaluateIdealBatch call. Per-image
-     * crossbar evals/energy are accumulated into @p per_image (and
-     * into stats_) using the batch eval's per-window energies, in the
-     * same per-image order the solo walk would. Falls back to
-     * per-image evaluateLayer when fastEval is off.
-     */
-    void evaluateLayerBatch(MappedLayer &layer, std::vector<Tensor> &xs,
-                            std::vector<ChipStats> &per_image);
 
     /**
      * One stage of the pre-resolved fast SNN pipeline: a mapped Linear

@@ -79,9 +79,9 @@ struct NebulaConfig
 
     /**
      * Use the fast evaluation paths: cached crossbar conductance views,
-     * sparse spike-driven evaluation in SNN mode, per-row window
-     * batching in ANN mode, input normalization precomputed per tensor
-     * element. False selects the original per-window scalar loops on
+     * sparse spike-driven evaluation in SNN mode, the row-batched
+     * crossbar kernel in ANN mode (one output row of windows per
+     * call), input normalization precomputed per tensor element. False selects the original per-window scalar loops on
      * uncached crossbars -- numerically identical (guarded by
      * tests/differential_test.cpp), kept as the measurable
      * pre-optimization baseline for the throughput benchmarks.

@@ -899,7 +899,6 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
     if (!p_.fastEval) {
         // Baseline fallback: B separate scalar evaluations.
         eval.currents.resize(static_cast<size_t>(batch) * cols);
-        eval.energies.reserve(static_cast<size_t>(batch));
         std::vector<double> window(static_cast<size_t>(rows));
         for (int b = 0; b < batch; ++b) {
             std::copy_n(inputs.begin() + static_cast<size_t>(b) * rows,
@@ -908,7 +907,6 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
             std::copy(one.currents.begin(), one.currents.end(),
                       eval.currents.begin() +
                           static_cast<size_t>(b) * cols);
-            eval.energies.push_back(one.energy);
             eval.energy += one.energy;
             if (p_.abft)
                 eval.checks.push_back(one.check);
@@ -918,7 +916,6 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
 
     const EvalCache &c = evalCache();
     eval.currents.assign(static_cast<size_t>(batch) * cols, 0.0);
-    eval.energies.assign(static_cast<size_t>(batch), 0.0);
 
     // Pre-scale every window's drive voltages once, with the exact
     // clamp + supply expression of evaluateIdeal().
@@ -1001,8 +998,7 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
             if (c.anyColOpen && c.colOpen[static_cast<size_t>(j)])
                 out[j] = 0.0;
         }
-        eval.energies[static_cast<size_t>(b)] = power * duration;
-        eval.energy += eval.energies[static_cast<size_t>(b)];
+        eval.energy += power * duration;
         if (p_.abft) {
             // Per-window checksum comparison: same ascending-row chain
             // as the solo path on this window, so each verdict is

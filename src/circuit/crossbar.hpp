@@ -140,17 +140,11 @@ struct CrossbarBatchEval
     /** B x cols differential column currents, row-major (A). */
     std::vector<double> currents;
 
-    /** Ohmic energy summed over the batch (J). */
-    double energy = 0.0;
-
     /**
-     * Per-window ohmic energy (J), one entry per input window. Each
-     * entry is bit-identical to the energy a standalone evaluateIdeal()
-     * of that window reports, so callers serving coalesced requests can
-     * attribute array energy to individual requests exactly; `energy`
-     * is their ascending-order sum.
+     * Ohmic energy summed over the batch (J): the standalone
+     * evaluateIdeal() energy of each window, added in window order.
      */
-    std::vector<double> energies;
+    double energy = 0.0;
 
     /**
      * Per-window ABFT verdicts (empty unless CrossbarParams::abft).
@@ -263,9 +257,9 @@ class CrossbarArray
      * call. Windows are processed in register-blocked groups of four: a
      * cached conductance row is streamed once per group and multiplied
      * into four windows' accumulators (GEMM-style), amortizing the
-     * matrix traffic across windows; per-window results -- currents and
-     * energies -- are bit-identical to @p batch separate
-     * evaluateIdeal() calls.
+     * matrix traffic across windows; per-window currents and ABFT
+     * checks are bit-identical to @p batch separate evaluateIdeal()
+     * calls, and `energy` is the window-order sum of their energies.
      */
     CrossbarBatchEval evaluateIdealBatch(const std::vector<double> &inputs,
                                          int batch, double duration) const;

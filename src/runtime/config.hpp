@@ -68,31 +68,6 @@ enum class ShedPolicy : uint8_t
     DeadlineAware,
 };
 
-/**
- * Dynamic micro-batching window. A worker that dequeues a request may
- * hold it for up to maxWaitUs while draining further compatible
- * requests from the queue, then flushes the whole batch through one
- * layer-by-layer chip walk (the batched GEMM path). The window closes
- * early when maxBatch requests are gathered or when waiting any longer
- * would push a held request past its deadline -- a request is never
- * batched past its deadline by construction. maxBatch <= 1 disables
- * batching entirely (the default: solo dequeue, identical to the
- * pre-batching engine). Only replicas that support batched evaluation
- * (ANN chip replicas) coalesce; other modes keep the solo path.
- */
-struct BatchingConfig
-{
-    /** Largest micro-batch one worker flushes at once (<=1: off). */
-    int maxBatch = 1;
-
-    /**
-     * Longest a worker holds a dequeued request while waiting for more
-     * (microseconds). 0 still drains whatever is already queued up to
-     * maxBatch -- opportunistic batching with no added latency.
-     */
-    uint64_t maxWaitUs = 0;
-};
-
 /** Knobs of the InferenceEngine worker pool. */
 struct EngineConfig
 {
@@ -124,14 +99,6 @@ struct EngineConfig
      * session is active is one relaxed atomic load per request.
      */
     bool traceRequests = true;
-
-    /**
-     * Dynamic micro-batching of compatible queued requests at dequeue
-     * time. Logits stay bit-identical to solo evaluation (the batched
-     * crossbar kernels run the same per-window expression sequences);
-     * per-request energy/trace/metrics attribution is preserved.
-     */
-    BatchingConfig batching;
 
     // -- resilience ------------------------------------------------------
 

@@ -66,8 +66,6 @@ InferenceEngine::InferenceEngine(EngineConfig config,
     hooks.health = health_on ? health : nullptr;
     hooks.maxConsecutiveFaults = config_.maxConsecutiveFaults;
     hooks.traceRequests = config_.traceRequests;
-    hooks.maxBatch = config_.batching.maxBatch;
-    hooks.maxWaitUs = config_.batching.maxWaitUs;
     hooks.abftReExecute = config_.abft.reExecute;
     hooks.abftFallback = config_.abft.fallback;
     if (config_.maxConsecutiveFaults > 0) {

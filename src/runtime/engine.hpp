@@ -1,6 +1,6 @@
 /**
  * @file
- * Concurrent batched inference engine: a pool of worker threads, each
+ * Concurrent inference engine: a pool of worker threads, each
  * owning an identically-programmed NebulaChip replica, fed from one
  * bounded MPMC request queue with future-based result delivery.
  *

@@ -33,32 +33,6 @@ AnnChipReplica::run(const InferenceRequest &request)
     return result;
 }
 
-std::vector<InferenceResult>
-AnnChipReplica::runBatch(
-    const std::vector<const InferenceRequest *> &requests)
-{
-    std::vector<Tensor> images;
-    images.reserve(requests.size());
-    for (const InferenceRequest *request : requests)
-        images.push_back(request->image);
-    AnnBatchResult batch = chip_.runAnnBatch(images);
-    std::vector<InferenceResult> results;
-    results.reserve(requests.size());
-    for (size_t b = 0; b < requests.size(); ++b) {
-        InferenceResult result;
-        result.logits = std::move(batch.logits[b]);
-        result.predictedClass = result.logits.argmaxRow(0);
-        // Per-request attribution from this request's own slice of the
-        // batch activity (clean deltas, not accumulated-total diffs).
-        result.energy = estimateEnergyBreakdown(
-            ChipStats(), batch.perImage[b], Mode::ANN);
-        result.integrity.checks = batch.perImage[b].abftChecks;
-        result.integrity.violations = batch.perImage[b].abftViolations;
-        results.push_back(std::move(result));
-    }
-    return results;
-}
-
 bool
 AnnChipReplica::reprogram(const ReliabilityConfig &rel)
 {

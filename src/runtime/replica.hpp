@@ -13,7 +13,6 @@
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "arch/chip.hpp"
 #include "runtime/request.hpp"
@@ -33,31 +32,6 @@ class ChipReplica
      * bookkeeping ones (id, timings, worker id).
      */
     virtual InferenceResult run(const InferenceRequest &request) = 0;
-
-    /**
-     * True when runBatch() coalesces requests into one shared chip
-     * walk. The worker's batch gatherer only holds requests for
-     * replicas that benefit; everything else keeps the solo path.
-     */
-    virtual bool supportsBatch() const { return false; }
-
-    /**
-     * Execute a micro-batch of requests. Per-request results must be
-     * bit-identical (logits, prediction) to calling run() on the same
-     * requests in order from the same chip state; per-request energy
-     * attribution must be preserved. The default just loops run() so
-     * every replica is batch-callable; chip-backed ANN replicas
-     * override with the genuinely batched GEMM-style evaluation.
-     */
-    virtual std::vector<InferenceResult>
-    runBatch(const std::vector<const InferenceRequest *> &requests)
-    {
-        std::vector<InferenceResult> results;
-        results.reserve(requests.size());
-        for (const InferenceRequest *request : requests)
-            results.push_back(run(*request));
-        return results;
-    }
 
     /** Chip counters accumulated so far (null: replica has no chip). */
     virtual const ChipStats *chipStats() const { return nullptr; }
@@ -122,9 +96,6 @@ class AnnChipReplica : public ChipReplica
                    const ReliabilityConfig &reliability = {});
 
     InferenceResult run(const InferenceRequest &request) override;
-    bool supportsBatch() const override { return true; }
-    std::vector<InferenceResult> runBatch(
-        const std::vector<const InferenceRequest *> &requests) override;
     const ChipStats *chipStats() const override { return &chip_.stats(); }
     const ProgramReport *programReport() const override
     {

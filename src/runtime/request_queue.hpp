@@ -11,7 +11,6 @@
 #define NEBULA_RUNTIME_REQUEST_QUEUE_HPP
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -79,45 +78,6 @@ template <typename T> class BoundedQueue
         items_.pop_front();
         notFull_.notify_one();
         return item;
-    }
-
-    /**
-     * Dequeue only if an item is available right now (never blocks).
-     * Used by the batch gatherer to drain already-queued requests into
-     * a micro-batch with no added wait.
-     * @return false when the queue is empty (closed or not).
-     */
-    bool
-    tryPop(T &out)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (items_.empty())
-            return false;
-        out = std::move(items_.front());
-        items_.pop_front();
-        notFull_.notify_one();
-        return true;
-    }
-
-    /**
-     * Block until an item is available or @p deadline passes (or the
-     * queue closes while empty). The batch gatherer bounds its wait by
-     * the batching window and the earliest held request deadline.
-     * @return false on timeout or closed-and-empty; @p out untouched.
-     */
-    bool
-    popUntil(T &out, std::chrono::steady_clock::time_point deadline)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        notEmpty_.wait_until(lock, deadline, [&] {
-            return closed_ || !items_.empty();
-        });
-        if (items_.empty())
-            return false;
-        out = std::move(items_.front());
-        items_.pop_front();
-        notFull_.notify_one();
-        return true;
     }
 
     /** Remove and return every pending item (used by hard shutdown). */

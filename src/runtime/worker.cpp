@@ -1,6 +1,5 @@
 #include "runtime/worker.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <utility>
@@ -26,22 +25,6 @@ secondsSince(std::chrono::steady_clock::time_point start,
 constexpr double kLatencyLoMs = 0.0;
 constexpr double kLatencyHiMs = 250.0;
 constexpr int kLatencyBuckets = 500;
-
-// Batch-size histogram shape, likewise shared for bin-exact merges.
-constexpr double kBatchLo = 0.0;
-constexpr double kBatchHi = 64.0;
-constexpr int kBatchBuckets = 64;
-
-bool
-sameShape(const Tensor &a, const Tensor &b)
-{
-    if (a.rank() != b.rank())
-        return false;
-    for (int d = 0; d < a.rank(); ++d)
-        if (a.dim(d) != b.dim(d))
-            return false;
-    return true;
-}
 
 } // namespace
 
@@ -94,67 +77,8 @@ Worker::loop()
 {
     obs::setThreadName("worker" + std::to_string(id_));
     NEBULA_DEBUG("runtime", "worker", id_, " started");
-    while (auto item = queue_->pop()) {
-        // The batch gather only engages when the engine asks for it AND
-        // the current replica coalesces requests into one chip walk;
-        // checked per dequeue because the supervisor / health monitor
-        // may swap the replica for a non-batching fallback at any time.
-        if (hooks_.maxBatch <= 1 || !replica_->supportsBatch()) {
-            processItem(*item);
-            continue;
-        }
-
-        // Deadline-aware gather window: hold the first request for at
-        // most maxWaitUs while draining more, but never into the
-        // earliest deadline among the requests already held -- the
-        // window closes a slack margin (estimated flush time plus a
-        // slice of the remaining budget) BEFORE that deadline, so a
-        // held request always flushes with time left to evaluate and
-        // is never pushed past its deadline by the gather itself.
-        const auto gather_start = std::chrono::steady_clock::now();
-        auto deadline_cap = [&](std::chrono::steady_clock::time_point
-                                    deadline) {
-            const double remaining =
-                std::max(0.0, secondsSince(gather_start, deadline));
-            const double slack = std::max(
-                {2.0 * flushEwmaSec_, 0.1 * remaining, 100e-6});
-            return deadline -
-                   std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(slack));
-        };
-        auto window_end =
-            gather_start + std::chrono::microseconds(hooks_.maxWaitUs);
-        if (item->hasDeadline)
-            window_end = std::min(window_end, deadline_cap(item->deadline));
-
-        std::vector<QueueItem> batch;
-        batch.reserve(static_cast<size_t>(hooks_.maxBatch));
-        batch.push_back(std::move(*item));
-        while (static_cast<int>(batch.size()) < hooks_.maxBatch) {
-            QueueItem next;
-            if (queue_->tryPop(next)) {
-                if (next.hasDeadline)
-                    window_end =
-                        std::min(window_end, deadline_cap(next.deadline));
-                batch.push_back(std::move(next));
-                continue;
-            }
-            if (std::chrono::steady_clock::now() >= window_end)
-                break;
-            if (!queue_->popUntil(next, window_end))
-                break; // window elapsed, or closed and drained
-            if (next.hasDeadline)
-                window_end =
-                    std::min(window_end, deadline_cap(next.deadline));
-            batch.push_back(std::move(next));
-        }
-
-        if (batch.size() == 1)
-            processItem(batch.front());
-        else
-            processBatch(batch);
-    }
+    while (auto item = queue_->pop())
+        processItem(*item);
     NEBULA_DEBUG("runtime", "worker", id_, " draining done, exiting");
 }
 
@@ -238,9 +162,6 @@ Worker::processItem(QueueItem &item)
         spikesStat_.add(static_cast<double>(result.spikes));
 
         item.promise.set_value(std::move(result));
-        flushEwmaSec_ = flushEwmaSec_ <= 0.0
-                            ? service
-                            : flushEwmaSec_ + 0.2 * (service - flushEwmaSec_);
         consecutiveFaults_ = 0;
     } catch (const std::exception &e) {
         stats_.scalar("failures").inc();
@@ -296,214 +217,6 @@ Worker::processItem(QueueItem &item)
     maybeRestartReplica();
 
     hooks_.onComplete(service);
-}
-
-void
-Worker::processBatch(std::vector<QueueItem> &items)
-{
-    const auto flush = std::chrono::steady_clock::now();
-
-    // Typed non-evaluated outcomes, re-checked at flush time: the
-    // gather window never outlives a held deadline, but a deadline can
-    // expire exactly at the boundary and cancellation can land during
-    // the gather. Every shed item still reaches its typed outcome.
-    std::vector<QueueItem *> live;
-    live.reserve(items.size());
-    for (QueueItem &item : items) {
-        const double wait = secondsSince(item.enqueued, flush);
-        if (item.request.cancel &&
-            item.request.cancel->load(std::memory_order_acquire)) {
-            stats_.scalar("cancelled").inc();
-            obs::MetricsRegistry::global()
-                .counter("runtime.cancelled")
-                .inc();
-            obs::recordInstant("runtime", "request.cancelled",
-                               hooks_.traceRequests);
-            shedItem(item, RuntimeErrorKind::Cancelled,
-                     "request cancelled before evaluation", wait);
-            hooks_.onComplete(-1.0);
-            continue;
-        }
-        if (item.hasDeadline && flush > item.deadline) {
-            stats_.scalar("timeouts").inc();
-            obs::MetricsRegistry::global().counter("runtime.timeout").inc();
-            obs::recordInstant("runtime", "request.timeout",
-                               hooks_.traceRequests);
-            shedItem(item, RuntimeErrorKind::Timeout,
-                     "deadline expired in queue", wait);
-            hooks_.onComplete(-1.0);
-            continue;
-        }
-        live.push_back(&item);
-    }
-    if (live.empty())
-        return;
-
-    // Same-model is guaranteed (one engine, one replica prototype) but
-    // image shapes may still differ; group by shape so every runBatch
-    // call is a well-formed micro-batch.
-    std::vector<std::vector<QueueItem *>> groups;
-    for (QueueItem *item : live) {
-        bool placed = false;
-        for (auto &group : groups) {
-            if (sameShape(group.front()->request.image,
-                          item->request.image)) {
-                group.push_back(item);
-                placed = true;
-                break;
-            }
-        }
-        if (!placed)
-            groups.push_back({item});
-    }
-    for (auto &group : groups)
-        flushGroup(group);
-}
-
-void
-Worker::flushGroup(std::vector<QueueItem *> &group)
-{
-    const auto start = std::chrono::steady_clock::now();
-    const int n = static_cast<int>(group.size());
-
-    stats_.scalar("batch.size").sample(static_cast<double>(n));
-    stats_
-        .histogram("batch.size.hist", kBatchLo, kBatchHi, kBatchBuckets)
-        .sample(static_cast<double>(n));
-    auto &registry = obs::MetricsRegistry::global();
-    registry.counter("runtime.batch.flush").inc();
-    registry.observe("runtime.batch.size", static_cast<double>(n),
-                     kBatchLo, kBatchHi, kBatchBuckets);
-
-    // One flush span covers the shared chip walk; each request still
-    // contributes its own distributed-trace flow hop.
-    obs::TraceSpan span("runtime", "batch.flush", hooks_.traceRequests,
-                        /*sampled_root=*/true);
-    span.arg("size", static_cast<double>(n));
-    for (QueueItem *item : group)
-        obs::recordFlowStep("runtime", "request.flow",
-                            item->request.traceId, hooks_.traceRequests);
-    // Queue-depth sampling takes the queue mutex; trace-gated as in
-    // the solo path.
-    if (hooks_.traceRequests)
-        obs::recordCounter("queue.depth",
-                           static_cast<double>(queue_->size()),
-                           hooks_.traceRequests);
-
-    double service = -1.0;
-    bool violated = false;
-    try {
-        std::vector<const InferenceRequest *> requests;
-        requests.reserve(group.size());
-        for (QueueItem *item : group)
-            requests.push_back(&item->request);
-        std::vector<InferenceResult> results = replica_->runBatch(requests);
-        NEBULA_ASSERT(results.size() == group.size(),
-                      "replica returned wrong batch result count");
-        const auto end = std::chrono::steady_clock::now();
-        const double batch_seconds = secondsSince(start, end);
-        span.arg("service_ms", 1e3 * batch_seconds);
-
-        for (size_t i = 0; i < group.size(); ++i) {
-            QueueItem &item = *group[i];
-            InferenceResult &result = results[i];
-            // Per-item ABFT verdict (the batched walk attributes
-            // checksum comparisons per image): a flagged item is
-            // re-run solo on the fallback before its promise settles;
-            // the others keep their shared-walk results untouched.
-            if (result.integrity.violations > 0 && result.ok()) {
-                violated = true;
-                handleViolation(item, result);
-            }
-            const double wait = secondsSince(item.enqueued, start);
-            result.id = item.request.id;
-            result.workerId = id_;
-            result.queueSeconds = wait;
-            // Each request rode the whole shared walk, so each one's
-            // service time is the batch evaluation time.
-            result.serviceSeconds = batch_seconds;
-
-            requestsStat_.inc();
-            latencyStat_.sample(1e3 * (wait + batch_seconds));
-            serviceStat_.sample(1e3 * batch_seconds);
-            waitStat_.sample(1e3 * wait);
-            latencyHist_.sample(1e3 * (wait + batch_seconds));
-            serviceHist_.sample(1e3 * batch_seconds);
-            waitHist_.sample(1e3 * wait);
-            spikesStat_.add(static_cast<double>(result.spikes));
-
-            item.promise.set_value(std::move(result));
-        }
-        // The admission EWMA predicts per-request queue drain, and a
-        // batch retires n requests in one walk: feed it the effective
-        // per-request service time, not the whole-batch time. The
-        // gather-window slack EWMA tracks the whole flush instead --
-        // that is what the next batch must fit in front of a deadline.
-        service = batch_seconds / n;
-        flushEwmaSec_ =
-            flushEwmaSec_ <= 0.0
-                ? batch_seconds
-                : flushEwmaSec_ + 0.2 * (batch_seconds - flushEwmaSec_);
-        consecutiveFaults_ = 0;
-    } catch (const std::exception &e) {
-        for (QueueItem *item : group) {
-            stats_.scalar("failures").inc();
-            obs::MetricsRegistry::global()
-                .counter("runtime.replica_fault")
-                .inc();
-            obs::recordInstant("runtime", "request.failed",
-                               hooks_.traceRequests);
-            shedItem(*item, RuntimeErrorKind::ReplicaFault, e.what(),
-                     secondsSince(item->enqueued, start));
-        }
-        ++consecutiveFaults_;
-    } catch (...) {
-        for (QueueItem *item : group) {
-            stats_.scalar("failures").inc();
-            obs::MetricsRegistry::global()
-                .counter("runtime.replica_fault")
-                .inc();
-            obs::recordInstant("runtime", "request.failed",
-                               hooks_.traceRequests);
-            shedItem(*item, RuntimeErrorKind::ReplicaFault,
-                     "replica threw a non-std exception",
-                     secondsSince(item->enqueued, start));
-        }
-        ++consecutiveFaults_;
-    }
-
-    // One escalated probe per flushed batch no matter how many items
-    // were flagged -- the probe targets the replica, not the requests.
-    if (violated)
-        escalateHealthProbe();
-
-    // One probe per flushed batch, promises already settled (see the
-    // solo-path comment for why this must stay outside the try block).
-    if (service >= 0.0 && hooks_.health) {
-        try {
-            hooks_.health->afterRequest(id_, replica_);
-        } catch (...) {
-            stats_.scalar("probe_failures").inc();
-            obs::MetricsRegistry::global()
-                .counter("health.probe_fault")
-                .inc();
-            obs::recordInstant("runtime", "health.probe_fault",
-                               hooks_.traceRequests);
-            ++consecutiveFaults_;
-        }
-    }
-
-    // Restart BEFORE completion accounting (like the solo path): once
-    // the last onComplete lands, waitIdle may return, and a quiesced
-    // engine must already reflect any supervisor restart this flush
-    // earned -- the next flush of this gather then runs on the fresh
-    // replica too.
-    maybeRestartReplica();
-
-    // One onComplete per request keeps the engine's submitted_ /
-    // completed_ quiesce accounting balanced.
-    for (size_t i = 0; i < group.size(); ++i)
-        hooks_.onComplete(service);
 }
 
 bool

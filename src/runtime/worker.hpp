@@ -22,7 +22,6 @@
 #include <functional>
 #include <memory>
 #include <thread>
-#include <vector>
 
 #include "common/stats.hpp"
 #include "runtime/replica.hpp"
@@ -64,18 +63,6 @@ struct WorkerHooks
 
     /** Emit per-request trace spans when a session is active. */
     bool traceRequests = true;
-
-    /**
-     * Micro-batch gather window (EngineConfig::batching): after a
-     * blocking pop the worker drains up to maxBatch-1 further requests,
-     * waiting at most maxWaitUs -- never past the earliest deadline it
-     * holds -- then flushes the batch through ChipReplica::runBatch.
-     * maxBatch <= 1 (default) keeps the solo dequeue path untouched.
-     */
-    int maxBatch = 1;
-
-    /** Longest gather wait in microseconds (see BatchingConfig). */
-    uint64_t maxWaitUs = 0;
 
     /**
      * Hedged re-execution of ABFT-flagged results (EngineConfig::abft):
@@ -132,22 +119,10 @@ class Worker
   private:
     void loop();
 
-    /** The pre-batching solo flow for one dequeued request. */
+    /** Evaluate (or shed) one dequeued request and settle its promise. */
     void processItem(QueueItem &item);
 
-    /**
-     * Flush a gathered micro-batch: re-check cancel/deadline per item
-     * at flush time (typed shed outcomes -- gathering never outlives a
-     * held deadline, but it may expire right at the boundary), group
-     * the survivors by image shape and run each group through
-     * ChipReplica::runBatch with per-item accounting.
-     */
-    void processBatch(std::vector<QueueItem> &items);
-
-    /** Evaluate one same-shape group of live items as a micro-batch. */
-    void flushGroup(std::vector<QueueItem *> &group);
-
-    /** Supervisor restart check shared by the solo and batch paths. */
+    /** Supervisor restart once maxConsecutiveFaults is reached. */
     void maybeRestartReplica();
 
     /**
@@ -176,12 +151,6 @@ class Worker
     /** Lazily built fallback replica for ABFT re-execution. */
     std::unique_ptr<ChipReplica> abftFallback_;
 
-    /**
-     * EWMA of recent replica evaluation times (whole-flush, seconds),
-     * fed by both the solo and batch paths; sizes the slack margin the
-     * gather window keeps clear of any held deadline.
-     */
-    double flushEwmaSec_ = 0.0;
     StatGroup stats_;
 
     /**

@@ -168,6 +168,7 @@ CaseConfig::describe() const
         << " mode=" << (snnMode ? "snn" : "ann")
         << " faults=" << (withFaults ? 1 : 0)
         << " wv=" << (writeVerify ? 1 : 0) << " repair=" << (repair ? 1 : 0)
+        << " abft=" << (abft ? 1 : 0)
         << " sigma=" << variationSigma << " sparsity=" << sparsity;
     return oss.str();
 }
@@ -204,6 +205,7 @@ buildCase(const CaseConfig &config, bool fast_eval)
     params.variationSigma = config.variationSigma;
     params.variationSeed = config.seed ^ 0x5eedull;
     params.fastEval = fast_eval;
+    params.abft = config.abft;
 
     BuiltCase built;
     built.xbar = std::make_unique<CrossbarArray>(params);
@@ -321,6 +323,11 @@ shrinkCase(const CaseConfig &failing, const CasePredicate &still_fails,
         if (cur.repair) {
             CaseConfig c = cur;
             c.repair = false;
+            changed |= try_apply(c);
+        }
+        if (cur.abft) {
+            CaseConfig c = cur;
+            c.abft = false;
             changed |= try_apply(c);
         }
         if (cur.spareCols > 0 && !cur.repair) {

@@ -64,6 +64,7 @@ struct CaseConfig
     bool withFaults = false;  //!< sample a composite fault map
     bool writeVerify = false;
     bool repair = false;
+    bool abft = false;        //!< program the ABFT checksum column
     double variationSigma = 0.0;
     double sparsity = 0.0;    //!< fraction of zero input rows
 
