@@ -84,6 +84,24 @@ addTensor(Golden &g, const std::string &key, const Tensor &t)
                  static_cast<double>(t[i]));
 }
 
+/**
+ * Every ChipStats total: op counts exactly, energies within the float
+ * tolerance -- pins the billing of whichever SNN stages ran, not only
+ * their outputs.
+ */
+void
+addStats(Golden &g, const ChipStats &stats)
+{
+    addInt(g, "stats.crossbar_evals", stats.crossbarEvals);
+    addInt(g, "stats.adc_conversions", stats.adcConversions);
+    addInt(g, "stats.noc_packets", stats.nocPackets);
+    addInt(g, "stats.spikes", stats.spikes);
+    addInt(g, "stats.abft_checks", stats.abftChecks);
+    addInt(g, "stats.abft_violations", stats.abftViolations);
+    addFloat(g, "stats.crossbar_energy", stats.crossbarEnergy);
+    addFloat(g, "stats.noc_energy", stats.nocEnergy);
+}
+
 void
 writeGolden(const std::string &name, const Golden &actual)
 {
@@ -200,7 +218,41 @@ TEST(Golden, SnnSpikeCountsOnChip)
         addTensor(g, p + "logit", r.logits);
         addInt(g, p + "class", r.predictedClass());
     }
+    addStats(g, chip.stats());
     checkGolden("snn_spikes.txt", g);
+}
+
+TEST(Golden, ConvSnnOnChip)
+{
+    // LeNet-5 at 16 px: conv stages fed by encoder and IF spikes, average
+    // pooling with IF after it, then a Linear behind Flatten -- every SNN
+    // stage kind the chip compiles, with the ABFT checksum columns on.
+    constexpr int kConvImage = 16;
+    SyntheticDigits data(16, kConvImage, /*seed=*/79);
+    Network net = buildLenet5(kConvImage, 1, kClasses, /*seed=*/83);
+    SpikingModel model = convertToSnn(net, data.firstImages(12));
+    NebulaConfig config;
+    config.abft = true;
+    NebulaChip chip(config);
+    chip.programSnn(model);
+
+    Golden g;
+    for (int i = 0; i < 3; ++i) {
+        const uint64_t seed =
+            deriveRequestSeed(kSeedSalt, 200 + static_cast<uint64_t>(i));
+        const SnnRunResult r =
+            chip.runSnn(data.image(i), kTimesteps, seed);
+        const std::string p = "image" + std::to_string(i) + ".";
+        addInt(g, p + "total_spikes", r.totalSpikes);
+        for (size_t k = 0; k < r.ifSpikes.size(); ++k)
+            addInt(g, p + "if" + std::to_string(k) + ".spikes",
+                   r.ifSpikes[k]);
+        addFloat(g, p + "input_rate", r.inputRate);
+        addTensor(g, p + "logit", r.logits);
+        addInt(g, p + "class", r.predictedClass());
+    }
+    addStats(g, chip.stats());
+    checkGolden("conv_snn.txt", g);
 }
 
 TEST(Golden, HybridAccumulatorSums)
