@@ -54,7 +54,7 @@ publishMappingMetrics(const char *mode, const NebulaConfig &config,
  * Reconstruct real-unit pre-activations from one column group's
  * normalized sums: out[j] = currents[j] / kappa * scale + bias[j].
  * The division by kappa is kept a division (not a reciprocal multiply)
- * so the result stays bit-identical to the generic walk's emit.
+ * so the result stays bit-identical to evaluateLayer()'s binary emit.
  */
 NEBULA_TARGET_CLONES void
 emitAffine(float *out, const float *bias, const double *currents, int n,
@@ -63,6 +63,19 @@ emitAffine(float *out, const float *bias, const double *currents, int n,
     for (int j = 0; j < n; ++j)
         out[j] =
             static_cast<float>(currents[j] / kappa * scale + bias[j]);
+}
+
+/**
+ * Bill one evaluation's ABFT verdict: the comparison, and the checksum
+ * column read-out digitized alongside the data columns (one extra
+ * conversion per checked eval). A no-op without ABFT (checks == 0).
+ */
+void
+billCheck(ChipStats &stats, const CrossbarCheck &check)
+{
+    stats.abftChecks += check.checks;
+    stats.abftViolations += check.violations;
+    stats.adcConversions += check.checks;
 }
 
 } // namespace
@@ -223,7 +236,6 @@ NebulaChip::mapWeightLayer(const Layer &layer, int index,
     xp.variationSigma = variationSigma_;
     xp.variationSeed = seed_ + static_cast<uint64_t>(index) * 977;
     xp.spareCols = rel_.spareCols;
-    xp.fastEval = config_.fastEval;
     xp.abft = config_.abft;
 
     const int m = config_.atomicSize;
@@ -288,7 +300,7 @@ NebulaChip::programAnn(Network &net, const QuantizationResult &quant)
     annNet_ = &net;
     snnModel_ = nullptr;
     layers_.clear();
-    fastPlan_ = SnnFastPlan();
+    snn_ = SnnProgram();
     mapping_ = mapper_.map(net);
     clearStats();
     programReport_ = ProgramReport();
@@ -359,16 +371,6 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
     for (int c = 0; c < levels; ++c)
         dac_out[static_cast<size_t>(c)] = dac.normalizedOutput(c);
 
-    auto normalize = [&](float v) {
-        double x =
-            std::clamp(static_cast<double>(v) / in_ceiling, 0.0, 1.0);
-        if (!binary)
-            x = dac_out[static_cast<size_t>(dac.quantize(x))];
-        return x;
-    };
-
-    const bool fast = config_.fastEval;
-
     // Per-column periphery bias drive, window-invariant: hoisted so the
     // divide runs once per column per layer instead of once per column
     // per window (the expression is kept verbatim, so injected values
@@ -391,18 +393,17 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
     // Output-level scratch shared by every neuron-unit call this layer.
     std::vector<int> codes;
 
-    // Fast path: a conv input element is gathered into up to k*k
-    // overlapping windows; run the clamp + DAC quantization once per
-    // element instead of once per gather. Same values, fewer ops.
-    std::vector<double> norm;
-    if (fast) {
-        norm.resize(static_cast<size_t>(input.size()));
-        for (long long i = 0; i < input.size(); ++i)
-            norm[static_cast<size_t>(i)] = normalize(input[i]);
+    // A conv input element is gathered into up to k*k overlapping
+    // windows, so the clamp + DAC quantization runs once per element.
+    std::vector<double> norm(static_cast<size_t>(input.size()));
+    for (long long i = 0; i < input.size(); ++i) {
+        double x =
+            std::clamp(static_cast<double>(input[i]) / in_ceiling, 0.0, 1.0);
+        if (!binary)
+            x = dac_out[static_cast<size_t>(dac.quantize(x))];
+        norm[static_cast<size_t>(i)] = x;
     }
-    auto normAt = [&](long long i) {
-        return fast ? norm[static_cast<size_t>(i)] : normalize(input[i]);
-    };
+    auto normAt = [&](long long i) { return norm[static_cast<size_t>(i)]; };
 
     /**
      * Collect the ascending active-row list of a spike window for the
@@ -439,13 +440,7 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
                         : xbar.evaluateIdeal(window, config_.cycleTime);
         ++stats_.crossbarEvals;
         stats_.crossbarEnergy += eval.energy;
-        if (config_.abft) {
-            stats_.abftChecks += eval.check.checks;
-            stats_.abftViolations += eval.check.violations;
-            // The checksum column read-out is digitized alongside the
-            // data columns: one extra conversion per checked eval.
-            stats_.adcConversions += eval.check.checks;
-        }
+        billCheck(stats_, eval.check);
         const double kappa = xbar.currentScale();
         if (use_nu) {
             // The eval result is ours by value: inject the periphery
@@ -489,13 +484,8 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
             xbar.evaluateIdealBatch(windows, batch, config_.cycleTime);
         stats_.crossbarEvals += batch;
         stats_.crossbarEnergy += eval.energy;
-        if (config_.abft) {
-            for (const CrossbarCheck &check : eval.checks) {
-                stats_.abftChecks += check.checks;
-                stats_.abftViolations += check.violations;
-                stats_.adcConversions += check.checks;
-            }
-        }
+        for (const CrossbarCheck &check : eval.checks)
+            billCheck(stats_, check);
         const double kappa = xbar.currentScale();
         const int cols = xbar.cols();
         std::vector<double> &currents = batch_currents;
@@ -542,8 +532,7 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
 
         SpikeVector active;
         const SpikeVector *spikes =
-            fast && binary && binaryActive(window, active) ? &active
-                                                           : nullptr;
+            binary && binaryActive(window, active) ? &active : nullptr;
         output = Tensor({1, kernels});
         float *out_p = output.data();
         for (size_t g = 0; g < layer.groups.size(); ++g)
@@ -582,7 +571,7 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
                     }
         };
 
-        if (fast && !binary) {
+        if (!binary) {
             // ANN mode: batch one output row of windows per crossbar
             // call so the cached conductance matrix streams once per
             // out_w windows instead of once per window.
@@ -611,9 +600,7 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
                 for (int ow = 0; ow < out_w; ++ow) {
                     gatherWindow(oh, ow, window.data());
                     const SpikeVector *spikes =
-                        fast && binary && binaryActive(window, active)
-                            ? &active
-                            : nullptr;
+                        binaryActive(window, active) ? &active : nullptr;
                     for (size_t g = 0; g < layer.groups.size(); ++g)
                         evalGroup(g,
                                   static_cast<int>(g) * config_.atomicSize,
@@ -669,9 +656,8 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
                             }
                     }
                     const SpikeVector *spikes =
-                        fast && binary && binaryActive(window, active)
-                            ? &active
-                            : nullptr;
+                        binary && binaryActive(window, active) ? &active
+                                                               : nullptr;
                     evalGroup(g, static_cast<int>(g) * kpa, use_nu, window,
                               spikes, [&](int kernel, float value) {
                                   out_p[(static_cast<size_t>(kernel) *
@@ -703,11 +689,7 @@ NebulaChip::runAnn(const Tensor &image)
         batched.push_back(image.dim(d));
     Tensor x = image.reshaped(batched);
 
-    const long long evals_before = stats_.crossbarEvals;
-    const long long adc_before = stats_.adcConversions;
-    const long long checks_before = stats_.abftChecks;
-    const long long violations_before = stats_.abftViolations;
-
+    const ChipStats before = stats_;
     size_t next_mapped = 0;
     for (int i = 0; i < net.numLayers(); ++i) {
         Layer &layer = net.layer(i);
@@ -736,18 +718,7 @@ NebulaChip::runAnn(const Tensor &image)
             x = layer.forward(x, false);
         }
     }
-    auto &registry = obs::MetricsRegistry::global();
-    registry.counter("chip.crossbar_evals")
-        .inc(static_cast<double>(stats_.crossbarEvals - evals_before));
-    registry.counter("chip.adc_conversions")
-        .inc(static_cast<double>(stats_.adcConversions - adc_before));
-    if (config_.abft) {
-        registry.counter("abft.checks")
-            .inc(static_cast<double>(stats_.abftChecks - checks_before));
-        registry.counter("abft.violations")
-            .inc(static_cast<double>(stats_.abftViolations -
-                                     violations_before));
-    }
+    publishRun(before, Mode::ANN);
     return x;
 }
 
@@ -757,149 +728,80 @@ NebulaChip::programSnn(SpikingModel &model)
     snnModel_ = &model;
     annNet_ = nullptr;
     layers_.clear();
+    snn_ = SnnProgram();
     mapping_ = mapper_.map(model.net);
     clearStats();
     programReport_ = ProgramReport();
     updateReport_ = UpdateReport();
     crossbarIndex_ = 0;
 
-    for (int i = 0; i < model.net.numLayers(); ++i) {
-        Layer &layer = model.net.layer(i);
-        if (!layer.isWeightLayer())
+    // Compile the stage list while mapping. `spikes` tracks whether the
+    // signal at this point is a binary spike map (the encoder output or
+    // an IF layer's), which is what lets a Linear drive its rows sparsely.
+    Network &net = model.net;
+    bool spikes = true;
+    for (int i = 0; i < net.numLayers(); ++i) {
+        Layer &layer = net.layer(i);
+        SnnStage stage;
+        stage.layer = &layer;
+        if (layer.isWeightLayer()) {
+            const Tensor &w = *layer.parameters()[0];
+            const float scale = std::max(w.maxAbs(), 1e-6f);
+            MappedLayer mapped = mapWeightLayer(layer, i, scale, Mode::SNN);
+            mapped.inputCeiling = 1.0f; // binary spike inputs
+            layers_.push_back(std::move(mapped));
+            stage.mapped = layers_.size() - 1;
+            if (spikes && layer.kind() == LayerKind::Linear) {
+                stage.kind = SnnStage::Kind::Sparse;
+                stage.out = Tensor({1, layer.numKernels()});
+                if (snn_.stages.empty())
+                    snn_.sparseInput = true;
+                else
+                    snn_.stages.back().feedsSparse = true;
+            } else {
+                stage.kind = SnnStage::Kind::Mapped;
+            }
+            spikes = false;
+        } else if (spikes && layer.kind() == LayerKind::Flatten &&
+                   i + 1 < net.numLayers() &&
+                   net.layer(i + 1).kind() == LayerKind::Linear) {
+            // Shape-only: the Linear reads the same spikes in the same
+            // order straight from the active-row list.
             continue;
-        const Tensor &w = *layer.parameters()[0];
-        const float scale = std::max(w.maxAbs(), 1e-6f);
-        MappedLayer mapped = mapWeightLayer(layer, i, scale, Mode::SNN);
-        mapped.inputCeiling = 1.0f; // binary spike inputs
-        layers_.push_back(std::move(mapped));
+        } else {
+            if (layer.kind() == LayerKind::If) {
+                stage.neuron = &static_cast<IfLayer &>(layer);
+                stage.plainIf = stage.neuron->options().leak == 0.0f &&
+                                stage.neuron->options().refractory == 0;
+            }
+            spikes = stage.neuron != nullptr;
+        }
+        snn_.stages.push_back(std::move(stage));
     }
-    buildSnnFastPlan();
     publishMappingMetrics("snn", config_, mapping_);
 }
 
 void
-NebulaChip::buildSnnFastPlan()
+NebulaChip::runSparseStage(SnnStage &stage)
 {
-    fastPlan_ = SnnFastPlan();
-    if (!snnModel_)
-        return;
-    Network &net = snnModel_->net;
-
-    std::vector<SnnFastStage> stages;
-    size_t next_mapped = 0;
-    long long in_features = -1;
-    long long prev_features = -1;
-    for (int i = 0; i < net.numLayers(); ++i) {
-        Layer &layer = net.layer(i);
-        switch (layer.kind()) {
-        case LayerKind::Flatten:
-            // Shape-only; spike values pass through untouched.
-            break;
-        case LayerKind::Linear: {
-            const auto &fc = static_cast<const Linear &>(layer);
-            // Every stage but the last must feed an IF layer: only then
-            // is the next stage's input a binary spike map the sparse
-            // driver path may assume.
-            if (!stages.empty() && stages.back().ifAfter == nullptr)
-                return;
-            if (prev_features >= 0 && fc.inFeatures() != prev_features)
-                return;
-            if (in_features < 0)
-                in_features = fc.inFeatures();
-            SnnFastStage stage;
-            stage.layerIndex = next_mapped++;
-            stage.features = fc.numKernels();
-            stage.nocEnergy =
-                noc_.transferEnergy({0, 0}, {1, 0}, stage.features);
-            stage.preAct = Tensor({1, stage.features});
-            prev_features = stage.features;
-            stages.push_back(std::move(stage));
-            break;
-        }
-        case LayerKind::If: {
-            if (stages.empty() || stages.back().ifAfter != nullptr)
-                return;
-            auto &neuron = static_cast<IfLayer &>(layer);
-            stages.back().ifAfter = &neuron;
-            stages.back().plainIf = neuron.options().leak == 0.0f &&
-                                    neuron.options().refractory == 0;
-            stages.back().spikes = Tensor({1, stages.back().features});
-            break;
-        }
-        default:
-            return; // unsupported topology: keep the generic walk
-        }
+    MappedLayer &layer = layers_[stage.mapped];
+    obs::TraceSpan span("chip", "layer.eval", config_.traceChip);
+    span.arg("layer", static_cast<double>(layer.map.layerIndex));
+    float *out = stage.out.data();
+    for (size_t g = 0; g < layer.groups.size(); ++g) {
+        CrossbarArray &xbar = *layer.groups[g];
+        xbar.evaluateSparseInto(snn_.active, config_.cycleTime, snn_.evalWs);
+        ++stats_.crossbarEvals;
+        stats_.crossbarEnergy += snn_.evalWs.energy;
+        billCheck(stats_, snn_.evalWs.check);
+        // Binary drivers: in_ceiling == 1 exactly, so evaluateLayer()'s
+        // emit reduces to emitAffine() bit for bit.
+        const int group_offset = static_cast<int>(g) * config_.atomicSize;
+        emitAffine(out + group_offset, layer.bias.data() + group_offset,
+                   snn_.evalWs.currents.data(), xbar.cols(),
+                   xbar.currentScale(), static_cast<double>(layer.weightScale));
     }
-    if (stages.empty() || next_mapped != layers_.size())
-        return;
-
-    fastPlan_.inFeatures = in_features;
-    fastPlan_.stages = std::move(stages);
-    fastPlan_.usable = true;
-}
-
-long long
-NebulaChip::snnFastStep(PoissonEncoder &encoder, int t,
-                        SnnRunResult &result)
-{
-    SnnFastPlan &plan = fastPlan_;
-    encoder.encodeActive(plan.encPlan, plan.active);
-    const long long input_spikes =
-        static_cast<long long>(plan.active.size());
-
-    const Tensor *stage_out = nullptr;
-    for (SnnFastStage &stage : plan.stages) {
-        MappedLayer &layer = layers_[stage.layerIndex];
-        // Same expression sequence as evalGroup's non-NU emit with
-        // binary drivers: in_ceiling == 1 exactly, so folding it away
-        // leaves emitAffine() bit-identical to the generic walk.
-        // differential_test and the SNN golden vectors pin this.
-        float *out = stage.preAct.data();
-        for (size_t g = 0; g < layer.groups.size(); ++g) {
-            CrossbarArray &xbar = *layer.groups[g];
-            xbar.evaluateSparseInto(plan.active, config_.cycleTime,
-                                    plan.evalWs);
-            ++stats_.crossbarEvals;
-            stats_.crossbarEnergy += plan.evalWs.energy;
-            if (config_.abft) {
-                stats_.abftChecks += plan.evalWs.check.checks;
-                stats_.abftViolations += plan.evalWs.check.violations;
-                stats_.adcConversions += plan.evalWs.check.checks;
-            }
-            const int group_offset =
-                static_cast<int>(g) * config_.atomicSize;
-            emitAffine(out + group_offset, layer.bias.data() + group_offset,
-                       plan.evalWs.currents.data(), xbar.cols(),
-                       xbar.currentScale(),
-                       static_cast<double>(layer.weightScale));
-        }
-        stats_.nocPackets++;
-        stats_.nocEnergy += stage.nocEnergy;
-
-        if (stage.ifAfter) {
-            if (stage.plainIf)
-                stage.ifAfter->stepPlain(stage.preAct.data(),
-                                         stage.spikes.data(),
-                                         stage.features);
-            else
-                stage.ifAfter->step(stage.preAct.data(),
-                                    stage.spikes.data(), stage.features);
-            plan.active.clear();
-            const float *sp = stage.spikes.data();
-            for (int i = 0; i < stage.features; ++i)
-                if (sp[i] != 0.0f)
-                    plan.active.push_back(i);
-            stage_out = &stage.spikes;
-        } else {
-            stage_out = &stage.preAct;
-        }
-    }
-
-    if (t == 0)
-        result.logits = *stage_out;
-    else
-        result.logits.add(*stage_out);
-    return input_spikes;
+    span.arg("crossbar_evals", static_cast<double>(layer.groups.size()));
 }
 
 SnnRunResult
@@ -918,72 +820,87 @@ NebulaChip::runSnn(const Tensor &image, int timesteps,
     model.resetState();
 
     PoissonEncoder encoder(1.0, encoder_seed);
-
     std::vector<int> batched;
     batched.push_back(1);
     for (int d = 0; d < image.rank(); ++d)
         batched.push_back(image.dim(d));
+    const Tensor input = image.reshaped(batched);
+    if (snn_.sparseInput)
+        encoder.buildPlan(input, snn_.encPlan);
 
     SnnRunResult result;
     result.timesteps = timesteps;
     long long input_spikes = 0;
-    const long long evals_before = stats_.crossbarEvals;
-    const long long checks_before = stats_.abftChecks;
-    const long long violations_before = stats_.abftViolations;
-
-    // The preplanned pipeline runs the same arithmetic without the
-    // per-step tensor churn; an actively recording trace session keeps
-    // the instrumented walk so its spans stay complete.
-    const bool use_plan =
-        config_.fastEval && fastPlan_.usable &&
-        !(config_.traceChip && obs::TraceSession::enabled());
-    if (use_plan) {
-        NEBULA_ASSERT(image.size() == fastPlan_.inFeatures,
-                      "image size does not match the programmed SNN");
-        for (SnnFastStage &stage : fastPlan_.stages)
-            if (stage.ifAfter)
-                stage.ifAfter->ensureState({1, stage.features});
-        encoder.buildPlan(image, fastPlan_.encPlan);
-    }
+    const ChipStats before = stats_;
 
     for (int t = 0; t < timesteps; ++t) {
-        if (use_plan) {
-            input_spikes += snnFastStep(encoder, t, result);
-            continue;
-        }
         obs::TraceSpan step_span("chip", "timestep", config_.traceChip);
         step_span.arg("t", static_cast<double>(t));
-
-        Tensor spikes;
         {
             obs::TraceSpan encode_span("snn", "encode", config_.traceChip);
-            spikes = encoder.encode(image);
+            if (snn_.sparseInput) {
+                encoder.encodeActive(snn_.encPlan, snn_.active);
+                input_spikes += static_cast<long long>(snn_.active.size());
+            } else {
+                encoder.encodeInto(input, snn_.spikeBuf);
+                input_spikes += static_cast<long long>(snn_.spikeBuf.sum());
+            }
         }
-        input_spikes += static_cast<long long>(spikes.sum());
-        Tensor x = spikes.reshaped(batched);
 
-        size_t next_mapped = 0;
-        for (int i = 0; i < model.net.numLayers(); ++i) {
-            Layer &layer = model.net.layer(i);
-            if (layer.isWeightLayer()) {
-                NEBULA_ASSERT(next_mapped < layers_.size(),
-                              "unmapped weight layer");
-                x = evaluateLayer(layers_[next_mapped++], x, true);
+        // A Sparse stage reads the active list, so x only has to stand
+        // for the shape of the spikes it was drawn from.
+        const Tensor *x = snn_.sparseInput ? &input : &snn_.spikeBuf;
+        for (SnnStage &stage : snn_.stages) {
+            switch (stage.kind) {
+            case SnnStage::Kind::Sparse:
+                NEBULA_ASSERT(static_cast<const Linear &>(*stage.layer)
+                                      .inFeatures() == x->size(),
+                              "linear input mismatch on chip");
+                runSparseStage(stage);
+                break;
+            case SnnStage::Kind::Mapped:
+                stage.out = evaluateLayer(layers_[stage.mapped], *x, true);
+                break;
+            case SnnStage::Kind::Host:
+                if (stage.neuron) {
+                    stage.neuron->ensureState(x->shape());
+                    if (!stage.out.sameShape(*x))
+                        stage.out = Tensor(x->shape());
+                    if (stage.plainIf)
+                        stage.neuron->stepPlain(x->data(), stage.out.data(),
+                                                x->size());
+                    else
+                        stage.neuron->step(x->data(), stage.out.data(),
+                                           x->size());
+                } else {
+                    stage.out = stage.layer->forward(*x, false);
+                }
+                if (stage.feedsSparse) {
+                    snn_.active.clear();
+                    const float *sp = stage.out.data();
+                    for (long long i = 0; i < stage.out.size(); ++i)
+                        if (sp[i] != 0.0f)
+                            snn_.active.push_back(static_cast<int>(i));
+                }
+                break;
+            }
+            x = &stage.out;
+            if (stage.kind != SnnStage::Kind::Host) {
+                // Inter-layer traffic: one spike bit per output to the
+                // next core.
                 obs::TraceSpan noc_span("noc", "transfer",
                                         config_.traceChip);
-                noc_span.arg("bits", static_cast<double>(x.size()));
+                noc_span.arg("bits", static_cast<double>(x->size()));
                 stats_.nocPackets++;
                 stats_.nocEnergy +=
-                    noc_.transferEnergy({0, 0}, {1, 0}, x.size());
-            } else {
-                x = layer.forward(x, false);
+                    noc_.transferEnergy({0, 0}, {1, 0}, x->size());
             }
         }
         obs::TraceSpan acc_span("snn", "accumulate", config_.traceChip);
         if (t == 0)
-            result.logits = x;
+            result.logits = *x;
         else
-            result.logits.add(x);
+            result.logits.add(*x);
     }
 
     result.inputRate =
@@ -998,19 +915,29 @@ NebulaChip::runSnn(const Tensor &image, int timesteps,
                                     (neurons * timesteps));
     }
     stats_.spikes += result.totalSpikes;
+    publishRun(before, Mode::SNN);
+    return result;
+}
+
+void
+NebulaChip::publishRun(const ChipStats &before, Mode mode) const
+{
     auto &registry = obs::MetricsRegistry::global();
     registry.counter("chip.crossbar_evals")
-        .inc(static_cast<double>(stats_.crossbarEvals - evals_before));
-    registry.counter("chip.spikes")
-        .inc(static_cast<double>(result.totalSpikes));
+        .inc(static_cast<double>(stats_.crossbarEvals - before.crossbarEvals));
+    registry.counter("chip.adc_conversions")
+        .inc(static_cast<double>(stats_.adcConversions -
+                                 before.adcConversions));
+    if (mode == Mode::SNN)
+        registry.counter("chip.spikes")
+            .inc(static_cast<double>(stats_.spikes - before.spikes));
     if (config_.abft) {
         registry.counter("abft.checks")
-            .inc(static_cast<double>(stats_.abftChecks - checks_before));
+            .inc(static_cast<double>(stats_.abftChecks - before.abftChecks));
         registry.counter("abft.violations")
             .inc(static_cast<double>(stats_.abftViolations -
-                                     violations_before));
+                                     before.abftViolations));
     }
-    return result;
 }
 
 } // namespace nebula

@@ -11,6 +11,9 @@
  * tests (NeuronUnitCircuit.*) establish that the DW-MTJ neuron device
  * matches that model to within pinning quantization, so the chip
  * simulator does not instantiate per-output-position device objects.
+ * programSnn() compiles the network into one stage list and runSnn()
+ * runs one timestep loop over it, traced or not; the golden vectors
+ * (tests/golden/) pin its outputs and ChipStats totals.
  *
  * Used by the integration tests and the quickstart example to show the
  * full device -> circuit -> architecture -> algorithm stack agreeing
@@ -205,54 +208,48 @@ class NebulaChip
                          bool binary);
 
     /**
-     * One stage of the pre-resolved fast SNN pipeline: a mapped Linear
-     * layer plus the IF layer that consumes its pre-activations (null
-     * for the logits stage), with reusable output buffers and the
-     * per-step NoC transfer energy precomputed.
+     * One step of the compiled SNN stage list. The kind is fixed at
+     * programSnn() time from the topology, never by an option:
+     *  - Sparse: a Linear whose input is the encoder's or an IF layer's
+     *    spikes (at most a Flatten between, folded away): its column
+     *    groups are driven by the active-row list;
+     *  - Mapped: every other weight layer, through evaluateLayer();
+     *  - Host: IF, pooling and Flatten, computed beside the crossbars.
      */
-    struct SnnFastStage
+    struct SnnStage
     {
-        size_t layerIndex = 0;      //!< into layers_
-        IfLayer *ifAfter = nullptr; //!< IF consuming this stage's output
-        bool plainIf = false;       //!< ifAfter qualifies for stepPlain()
-        int features = 0;           //!< output kernels
-        double nocEnergy = 0.0;     //!< per-step inter-layer transfer (J)
-        Tensor preAct;              //!< (1, features) pre-activations
-        Tensor spikes;              //!< (1, features) IF spike map
+        enum class Kind { Sparse, Mapped, Host };
+        Kind kind = Kind::Host;
+        Layer *layer = nullptr;    //!< layer in the programmed net
+        size_t mapped = 0;         //!< into layers_ (Sparse, Mapped)
+        IfLayer *neuron = nullptr; //!< the IF layer of a Host stage
+        bool plainIf = false;      //!< neuron qualifies for stepPlain()
+        bool feedsSparse = false;  //!< refill the active list from out
+        Tensor out;                //!< stage output, reused every step
     };
 
-    /**
-     * Fast SNN execution plan, built at programSnn() time for pure
-     * Flatten/Linear/IF pipelines (the paper's MLP topologies). Runs
-     * the identical per-timestep arithmetic as the generic layer walk
-     * -- sparse spike-driven crossbar evaluation, the same affine
-     * reconstruction expression, the same IF update via IfLayer::step()
-     * -- but through preallocated buffers with no per-step tensor
-     * churn. differential_test and golden_test pin it to the generic
-     * path bit-for-bit; anything not matching the pattern keeps the
-     * generic walk (usable == false).
-     */
-    struct SnnFastPlan
+    /** The compiled SNN: its stage list plus per-run workspaces. */
+    struct SnnProgram
     {
-        bool usable = false;
-        long long inFeatures = 0;  //!< flattened input size expected
-        std::vector<SnnFastStage> stages;
-        Tensor spikeBuf;           //!< encoder output workspace
-        SpikeVector active;        //!< active-row workspace
+        std::vector<SnnStage> stages;
+        bool sparseInput = false;  //!< first stage reads encoder rows
+        Tensor spikeBuf;           //!< encoder output (dense input)
+        SpikeVector active;        //!< active-row list between stages
         CrossbarEval evalWs;       //!< crossbar result workspace
         PoissonEncoder::EncodePlan encPlan; //!< per-run encode plan
     };
 
-    /** Build fastPlan_ for the programmed SNN (or mark it unusable). */
-    void buildSnnFastPlan();
+    /**
+     * Run one Sparse stage: every column group driven by the active
+     * rows, pre-activations rebuilt into stage.out.
+     */
+    void runSparseStage(SnnStage &stage);
 
     /**
-     * One fast-plan timestep: encode (from the plan built for this
-     * run's image), run every stage sparsely, fold the logits into
-     * @p result. Returns the input spike count.
+     * Publish the ChipStats deltas since @p before (one run) into the
+     * metrics registry.
      */
-    long long snnFastStep(PoissonEncoder &encoder, int t,
-                          SnnRunResult &result);
+    void publishRun(const ChipStats &before, Mode mode) const;
 
     NebulaConfig config_;
     double variationSigma_;
@@ -267,7 +264,7 @@ class NebulaChip
     Network *annNet_ = nullptr;
     SpikingModel *snnModel_ = nullptr;
     std::vector<MappedLayer> layers_; //!< one per weight layer, in order
-    SnnFastPlan fastPlan_;
+    SnnProgram snn_;
     NetworkMapping mapping_;
     ChipStats stats_;
     Rng runSeeds_;

@@ -78,17 +78,6 @@ struct NebulaConfig
     bool traceChip = true;
 
     /**
-     * Use the fast evaluation paths: cached crossbar conductance views,
-     * sparse spike-driven evaluation in SNN mode, the row-batched
-     * crossbar kernel in ANN mode (one output row of windows per
-     * call), input normalization precomputed per tensor element. False selects the original per-window scalar loops on
-     * uncached crossbars -- numerically identical (guarded by
-     * tests/differential_test.cpp), kept as the measurable
-     * pre-optimization baseline for the throughput benchmarks.
-     */
-    bool fastEval = true;
-
-    /**
      * Online ABFT integrity checking: program one checksum column per
      * crossbar and compare every evaluation's data-column current sum
      * against the input-weighted checksum expectation within an

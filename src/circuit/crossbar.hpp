@@ -31,9 +31,9 @@
  * over a contiguous matrix with no remap gathers and no per-row
  * conductance re-summation. evaluateSparse() exploits SNN spike
  * sparsity by walking only the active rows of that view; results are
- * bit-identical to evaluateIdeal() on the densified spike vector.
- * CrossbarParams::fastEval == false falls back to the original scalar
- * loops (the pre-cache behaviour), kept as a measurable baseline.
+ * bit-identical to evaluateIdeal() on the densified spike vector. Every
+ * evaluator has this one implementation; tests/differential_test.cpp
+ * pins each to the naive reference model in src/testing.
  *
  * Reliability: the array can carry an explicit FaultMap (stuck cells,
  * pinning drift, retention decay, line opens) injected before
@@ -80,13 +80,6 @@ struct CrossbarParams
     /** Relative device-to-device conductance variation (0 = none). */
     double variationSigma = 0.0;
     uint64_t variationSeed = 7;
-
-    /**
-     * Use the cached fast evaluation paths (default). False selects the
-     * original scalar per-cell loops -- numerically identical, kept as
-     * the measurable pre-optimization baseline for benchmarks.
-     */
-    bool fastEval = true;
 
     /**
      * Program and read an ABFT checksum column: one extra physical
@@ -245,9 +238,9 @@ class CrossbarArray
                                 double duration) const;
 
     /**
-     * evaluateSparse() into a caller-owned result so per-timestep inner
-     * loops reuse one allocation. Requires fastEval (the dense fallback
-     * lives in the by-value form); values are identical to it.
+     * evaluateSparse() into a caller-owned result, so per-timestep
+     * inner loops reuse one allocation; evaluateSparse() is this call
+     * on a fresh result.
      */
     void evaluateSparseInto(const SpikeVector &active, double duration,
                             CrossbarEval &eval) const;
@@ -351,10 +344,6 @@ class CrossbarArray
     /** Mark every derived view stale (programmed state changed). */
     void invalidateCache() { cache_.valid = false; }
 
-    /** Original scalar evaluation loop (fastEval == false baseline). */
-    CrossbarEval evaluateIdealScalar(const std::vector<double> &inputs,
-                                     double duration) const;
-
     /** Physical data columns (logical + spares). */
     int physicalDataCols() const { return p_.cols + p_.spareCols; }
 
@@ -369,8 +358,8 @@ class CrossbarArray
 
     /**
      * ABFT residual comparison from one evaluation's aggregates, all
-     * accumulated in ascending row/column order so the fast and scalar
-     * paths produce bit-identical verdicts.
+     * accumulated in ascending row/column order so every evaluator
+     * produces bit-identical verdicts.
      *
      * @param currents    Final (reference-subtracted, open-masked)
      *                    data-column currents.

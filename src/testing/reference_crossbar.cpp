@@ -194,7 +194,7 @@ randomCase(uint64_t seed)
 }
 
 BuiltCase
-buildCase(const CaseConfig &config, bool fast_eval)
+buildCase(const CaseConfig &config)
 {
     CrossbarParams params;
     params.rows = config.rows;
@@ -204,7 +204,6 @@ buildCase(const CaseConfig &config, bool fast_eval)
     params.readVoltage = config.snnMode ? 0.25 : 0.75;
     params.variationSigma = config.variationSigma;
     params.variationSeed = config.seed ^ 0x5eedull;
-    params.fastEval = fast_eval;
     params.abft = config.abft;
 
     BuiltCase built;

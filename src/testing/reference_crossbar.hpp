@@ -86,10 +86,9 @@ CaseConfig randomCase(uint64_t seed);
 /**
  * Materialize a case: build the array (optionally fault-injected),
  * program random weights with the configured mitigations, and draw the
- * input vector at the configured sparsity. @p fast_eval selects the
- * production fast paths or the scalar baseline on the built array.
+ * input vector at the configured sparsity.
  */
-BuiltCase buildCase(const CaseConfig &config, bool fast_eval = true);
+BuiltCase buildCase(const CaseConfig &config);
 
 /**
  * Compare two evaluations. @p tolerance 0 demands bit-exact equality;

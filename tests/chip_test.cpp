@@ -18,6 +18,8 @@
 #include "nn/pooling.hpp"
 #include "nn/quantize.hpp"
 #include "nn/trainer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "snn/convert.hpp"
 #include "snn/snn_sim.hpp"
 
@@ -272,6 +274,126 @@ TEST(ChipSnn, AccuracyNearAnn)
     }
     const double snn_acc = correct / static_cast<double>(test_set.size());
     EXPECT_GT(snn_acc, ann_acc - 0.15);
+}
+
+/** A seeded untrained mlp3 or lenet5, converted on 16 px digits. */
+SpikingModel
+convertedModel(const std::string &name, const SyntheticDigits &data)
+{
+    Network net = name == "lenet5" ? buildLenet5(16, 1, 10, /*seed=*/41)
+                                   : buildMlp3(16, 1, 10, /*seed=*/41);
+    return convertToSnn(net, data.firstImages(12));
+}
+
+NebulaConfig
+abftConfig()
+{
+    NebulaConfig config;
+    config.abft = true;
+    return config;
+}
+
+TEST(ChipStats, RegistryDeltasMatchStats)
+{
+    // Every run publishes the counters it billed: the registry deltas
+    // of one request equal its ChipStats deltas, ANN and SNN alike.
+    SyntheticDigits data(16, 16, 91);
+    auto &registry = obs::MetricsRegistry::global();
+    const char *names[] = {"chip.crossbar_evals", "chip.adc_conversions",
+                           "abft.checks", "abft.violations"};
+    auto expectDeltas = [&](NebulaChip &chip, const auto &run) {
+        double reg_before[4];
+        for (int k = 0; k < 4; ++k)
+            reg_before[k] = registry.counterValue(names[k]);
+        const ChipStats before = chip.stats();
+        run();
+        const ChipStats &after = chip.stats();
+        const long long stat_delta[4] = {
+            after.crossbarEvals - before.crossbarEvals,
+            after.adcConversions - before.adcConversions,
+            after.abftChecks - before.abftChecks,
+            after.abftViolations - before.abftViolations};
+        EXPECT_GT(stat_delta[0], 0);
+        EXPECT_GT(stat_delta[2], 0);
+        for (int k = 0; k < 4; ++k)
+            EXPECT_EQ(registry.counterValue(names[k]) - reg_before[k],
+                      static_cast<double>(stat_delta[k]))
+                << names[k];
+    };
+
+    Network ann = buildMlp3(16, 1, 10, /*seed=*/43);
+    const QuantizationResult quant =
+        quantizeNetwork(ann, data.firstImages(12));
+    NebulaChip ann_chip(abftConfig());
+    ann_chip.programAnn(ann, quant);
+    expectDeltas(ann_chip, [&] { ann_chip.runAnn(data.image(0)); });
+
+    for (const char *model_name : {"mlp3", "lenet5"}) {
+        SCOPED_TRACE(model_name);
+        SpikingModel model = convertedModel(model_name, data);
+        NebulaChip chip(abftConfig());
+        chip.programSnn(model);
+        expectDeltas(chip, [&] { chip.runSnn(data.image(1), 12, 7); });
+    }
+}
+
+TEST(ChipSnn, TracingKeepsThePath)
+{
+    // A traced request runs the same stage loop as an untraced one:
+    // results and every ChipStats total (energies included) match
+    // bit for bit, and the trace holds one layer.eval span per mapped
+    // layer per timestep.
+    SyntheticDigits data(16, 16, 93);
+    constexpr int kT = 12;
+    for (const char *model_name : {"mlp3", "lenet5"}) {
+        SCOPED_TRACE(model_name);
+        SpikingModel plain_model = convertedModel(model_name, data);
+        SpikingModel traced_model = plain_model.clone();
+        NebulaChip plain(abftConfig());
+        NebulaChip traced(abftConfig());
+        plain.programSnn(plain_model);
+        traced.programSnn(traced_model);
+
+        obs::TraceSession::start();
+        std::vector<SnnRunResult> traced_runs;
+        for (int i = 0; i < 2; ++i)
+            traced_runs.push_back(traced.runSnn(data.image(i), kT, 11 + i));
+        const std::unique_ptr<obs::TraceSession> session =
+            obs::TraceSession::stop();
+
+        for (int i = 0; i < 2; ++i) {
+            const SnnRunResult want = plain.runSnn(data.image(i), kT, 11 + i);
+            const SnnRunResult &got = traced_runs[static_cast<size_t>(i)];
+            ASSERT_EQ(got.logits.size(), want.logits.size());
+            for (long long k = 0; k < want.logits.size(); ++k)
+                EXPECT_EQ(got.logits[k], want.logits[k]);
+            EXPECT_EQ(got.ifSpikes, want.ifSpikes);
+            EXPECT_EQ(got.ifNeurons, want.ifNeurons);
+            EXPECT_EQ(got.ifActivity, want.ifActivity);
+            EXPECT_EQ(got.totalSpikes, want.totalSpikes);
+            EXPECT_EQ(got.inputRate, want.inputRate);
+        }
+        const ChipStats &a = traced.stats();
+        const ChipStats &b = plain.stats();
+        EXPECT_EQ(a.crossbarEvals, b.crossbarEvals);
+        EXPECT_EQ(a.adcConversions, b.adcConversions);
+        EXPECT_EQ(a.spikes, b.spikes);
+        EXPECT_EQ(a.crossbarEnergy, b.crossbarEnergy);
+        EXPECT_EQ(a.nocPackets, b.nocPackets);
+        EXPECT_EQ(a.nocEnergy, b.nocEnergy);
+        EXPECT_EQ(a.abftChecks, b.abftChecks);
+        EXPECT_EQ(a.abftViolations, b.abftViolations);
+        EXPECT_GT(a.abftChecks, 0);
+
+        ASSERT_NE(session, nullptr);
+        long long layer_evals = 0;
+        for (const auto &track : session->tracks())
+            for (const obs::TraceEvent &e : track.events)
+                if (e.phase == obs::TraceEvent::Phase::Begin &&
+                    std::string(e.name) == "layer.eval")
+                    ++layer_evals;
+        EXPECT_EQ(layer_evals, 2LL * kT * traced.mappedLayerCount());
+    }
 }
 
 TEST(Chip, RequiresProgramBeforeRun)

@@ -56,21 +56,6 @@ TEST(Differential, IdealMatchesReferenceBitExact)
         });
 }
 
-TEST(Differential, ScalarBaselineMatchesReferenceBitExact)
-{
-    // The fastEval == false loops are the committed pre-optimization
-    // baseline the benchmarks compare against; keep them honest too.
-    runCases(
-        200, 2000, randomCase, [](const CaseConfig &config) {
-            BuiltCase built = buildCase(config, /*fast_eval=*/false);
-            const CrossbarEval got =
-                built.xbar->evaluateIdeal(built.inputs, kCycle);
-            const CrossbarEval want =
-                referenceIdeal(*built.xbar, built.inputs, kCycle);
-            return compareEval(got, want, 0.0);
-        });
-}
-
 TEST(Differential, SparseMatchesReferenceBitExact)
 {
     // Spike-driven path: active-row list against the densified naive
