@@ -86,8 +86,8 @@ addTensor(Golden &g, const std::string &key, const Tensor &t)
 
 /**
  * Every ChipStats total: op counts exactly, energies within the float
- * tolerance -- pins the billing of whichever SNN stages ran, not only
- * their outputs.
+ * tolerance -- pins the billing of whichever stages ran, not only their
+ * outputs.
  */
 void
 addStats(Golden &g, const ChipStats &stats)
@@ -191,9 +191,35 @@ TEST(Golden, AnnLogitsOnChip)
         addInt(g, "image" + std::to_string(i) + ".class",
                logits.argmaxRow(0));
     }
-    addInt(g, "stats.crossbar_evals", chip.stats().crossbarEvals);
-    addInt(g, "stats.adc_conversions", chip.stats().adcConversions);
+    addStats(g, chip.stats());
     checkGolden("ann_logits.txt", g);
+}
+
+TEST(Golden, ConvAnnOnChip)
+{
+    // LeNet-5 at 16 px on the ANN path: conv rows through the batched
+    // crossbar evaluation (conv1's padded border included), average
+    // pooling on the host, then Linear layers, with the ABFT checksum
+    // columns on.
+    constexpr int kConvImage = 16;
+    SyntheticDigits data(16, kConvImage, /*seed=*/89);
+    Network net = buildLenet5(kConvImage, 1, kClasses, /*seed=*/97);
+    const QuantizationResult quant =
+        quantizeNetwork(net, data.firstImages(12));
+    NebulaConfig config;
+    config.abft = true;
+    NebulaChip chip(config);
+    chip.programAnn(net, quant);
+
+    Golden g;
+    for (int i = 0; i < 3; ++i) {
+        const Tensor logits = chip.runAnn(data.image(i));
+        addTensor(g, "image" + std::to_string(i) + ".logit", logits);
+        addInt(g, "image" + std::to_string(i) + ".class",
+               logits.argmaxRow(0));
+    }
+    addStats(g, chip.stats());
+    checkGolden("conv_ann.txt", g);
 }
 
 TEST(Golden, SnnSpikeCountsOnChip)
