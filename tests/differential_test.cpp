@@ -90,9 +90,15 @@ TEST(Differential, SparseMatchesReferenceBitExact)
  * Compare a row-batched evaluation against per-window solo
  * evaluateIdeal: currents and ABFT checks bit-exact per window, total
  * energy equal to the window-order sum of the solo energies.
+ *
+ * Without @p mixed_dark each window entry is dark (+0.0) with the
+ * case's sparsity. With it each row is dark in every window, in none,
+ * or in a random subset -- so a register-blocked window group sees rows
+ * only some of its windows drive -- and a dark entry is +0.0 or -0.0.
  */
 std::string
-compareBatchToSolo(const CaseConfig &config, int min_batch, int max_batch)
+compareBatchToSolo(const CaseConfig &config, int min_batch, int max_batch,
+                   bool mixed_dark = false)
 {
     BuiltCase built = buildCase(config);
     Rng rng(config.seed ^ 0xb47c41ull);
@@ -100,8 +106,24 @@ compareBatchToSolo(const CaseConfig &config, int min_batch, int max_batch)
     const int cols = built.xbar->cols();
     const int batch = rng.uniformInt(min_batch, max_batch);
     std::vector<double> windows(static_cast<size_t>(batch) * rows);
-    for (auto &v : windows)
-        v = rng.bernoulli(config.sparsity) ? 0.0 : rng.uniform(0.0, 1.0);
+    if (!mixed_dark) {
+        for (auto &v : windows)
+            v = rng.bernoulli(config.sparsity) ? 0.0
+                                               : rng.uniform(0.0, 1.0);
+    } else {
+        auto dark = [&] { return rng.bernoulli(0.5) ? 0.0 : -0.0; };
+        for (int i = 0; i < rows; ++i) {
+            const double all_dark = config.sparsity;
+            const double pick = rng.uniform(0.0, 1.0);
+            for (int b = 0; b < batch; ++b) {
+                const bool is_dark = pick < all_dark ||
+                                     (pick < (1.0 + all_dark) / 2.0 &&
+                                      rng.bernoulli(0.5));
+                windows[static_cast<size_t>(b) * rows + i] =
+                    is_dark ? dark() : rng.uniform(0.0, 1.0);
+            }
+        }
+    }
 
     const CrossbarBatchEval got =
         built.xbar->evaluateIdealBatch(windows, batch, kCycle);
@@ -185,6 +207,20 @@ TEST(Differential, BatchMatchesSingleEvalBitExact)
         },
         [](const CaseConfig &config) {
             return compareBatchToSolo(config, 2, 6);
+        });
+    // Production batch sizes: a conv row passes one window per output
+    // column (16 for conv1 at 16 px), so full four-window groups plus a
+    // remainder go through one call, on narrow column groups (conv1 has
+    // 6 kernels), with -0.0 drives and rows dark in only some windows.
+    runCases(
+        240, 9000,
+        [&](uint64_t seed) {
+            CaseConfig config = with_abft(randomCase(seed));
+            config.cols = Rng(seed ^ 0xc015ull).uniformInt(1, 7);
+            return config;
+        },
+        [](const CaseConfig &config) {
+            return compareBatchToSolo(config, 9, 32, true);
         });
 }
 
