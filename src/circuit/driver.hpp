@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/rounding.hpp"
 #include "common/units.hpp"
 
 namespace nebula {
@@ -35,7 +36,7 @@ class DacDriver
     int quantize(double normalized) const
     {
         const double clipped = std::clamp(normalized, 0.0, 1.0);
-        return static_cast<int>(std::lround(clipped * (levels_ - 1)));
+        return roundNonNegative(clipped * (levels_ - 1));
     }
 
     /** Normalized voltage factor (voltage / readVoltage) for a code. */

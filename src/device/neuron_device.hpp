@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/rounding.hpp"
 #include "device/domain_wall.hpp"
 #include "device/mtj.hpp"
 
@@ -185,8 +186,10 @@ class ReluNeuronDevice
         track_.reset();
         track_.applyCurrent(current, duration, rng);
 
-        const int k = static_cast<int>(
-            std::round(track_.position() / p_.track.pinPitch));
+        // The wall position is clamped to [0, length]: the index
+        // rounds inline, as std::round would.
+        const int k =
+            roundNonNegative(track_.position() / p_.track.pinPitch);
         lastOutput_ = lut.out[static_cast<size_t>(k)];
         energy_ += std::abs(current) * std::abs(current) *
                    p_.track.writePathResistance * duration;

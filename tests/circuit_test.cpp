@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -15,6 +16,8 @@
 #include "circuit/driver.hpp"
 #include "circuit/neuron_unit.hpp"
 #include "circuit/sense.hpp"
+#include "common/rng.hpp"
+#include "common/rounding.hpp"
 #include "common/units.hpp"
 
 namespace nebula {
@@ -241,6 +244,49 @@ TEST(Dac, ClipsOutOfRange)
     DacDriver dac(4);
     EXPECT_EQ(dac.quantize(-0.5), 0);
     EXPECT_EQ(dac.quantize(1.5), 15);
+}
+
+TEST(Rounding, InlineMatchesLibm)
+{
+    // DAC codes and the neuron readout index round through
+    // roundNonNegative instead of libm: it must give lround's (DAC) and
+    // round's (readout) half-away-from-zero result on every tie and
+    // near-tie of the range, on both zeros and on random values.
+    long long mismatches = 0;
+    auto check = [&](double q) {
+        const int got = roundNonNegative(q);
+        if (got != std::lround(q) || got != static_cast<int>(std::round(q))) {
+            ++mismatches;
+            ADD_FAILURE() << std::hexfloat << "q=" << q << " gave " << got;
+        }
+    };
+    for (int k = 0; k <= 64; ++k) {
+        for (const double base : {k + 0.0, k + 0.5}) {
+            double up = base, down = base;
+            for (int ulp = 0; ulp <= 64; ++ulp) {
+                check(up);
+                check(down);
+                up = std::nextafter(up, HUGE_VAL);
+                down = std::nextafter(down, -HUGE_VAL);
+            }
+        }
+    }
+    check(0.0);
+    check(-0.0);
+
+    Rng rng(0x40d0);
+    const DacDriver dac(4);
+    const int top = dac.levels() - 1;
+    for (int n = 0; n < 1000000 && mismatches == 0; ++n) {
+        check(rng.uniform(0.0, 64.0));
+        const double x = rng.uniform(-0.25, 1.25);
+        const long long want = std::lround(std::clamp(x, 0.0, 1.0) * top);
+        if (dac.quantize(x) != want) {
+            ++mismatches;
+            ADD_FAILURE() << std::hexfloat << "DAC x=" << x;
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Dac, DriveVectorized)
