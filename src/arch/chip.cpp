@@ -395,15 +395,18 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
 
     // A conv input element is gathered into up to k*k overlapping
     // windows, so the clamp + DAC quantization runs once per element.
-    std::vector<double> norm(static_cast<size_t>(input.size()));
+    // One dark entry sits in front of the input, at offset -1: the
+    // im2col table's padding index reads it, so a gather never branches.
+    std::vector<double> norm(static_cast<size_t>(input.size()) + 1, 0.0);
+    const double *in = norm.data() + 1;
     for (long long i = 0; i < input.size(); ++i) {
         double x =
             std::clamp(static_cast<double>(input[i]) / in_ceiling, 0.0, 1.0);
         if (!binary)
             x = dac_out[static_cast<size_t>(dac.quantize(x))];
-        norm[static_cast<size_t>(i)] = x;
+        norm[static_cast<size_t>(i) + 1] = x;
     }
-    auto normAt = [&](long long i) { return norm[static_cast<size_t>(i)]; };
+    auto normAt = [&](long long i) { return in[i]; };
 
     /**
      * Collect the ascending active-row list of a spike window for the
@@ -553,22 +556,37 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
         float *out_p = output.data();
         const int rf_conv = conv.receptiveField();
 
-        auto gatherWindow = [&](int oh, int ow, double *window) {
-            size_t r = 0;
-            for (int c = 0; c < in_c; ++c)
-                for (int kh = 0; kh < k; ++kh)
-                    for (int kw = 0; kw < k; ++kw, ++r) {
-                        const int ih = oh * stride - pad + kh;
-                        const int iw = ow * stride - pad + kw;
-                        window[r] =
-                            (ih < 0 || ih >= in_h || iw < 0 || iw >= in_w)
-                                ? 0.0
-                                : normAt((static_cast<long long>(c) *
-                                              in_h +
-                                          ih) *
-                                             in_w +
-                                         iw);
-                    }
+        // im2col table: the input offset of every window element,
+        // window after window in output raster order, -1 where a window
+        // covers padding. Built on the first input of each (H, W) and
+        // kept on the layer; a gather is then one table walk with no
+        // bounds checks, shared by the ANN rows and the SNN windows.
+        if (layer.gatherH != in_h || layer.gatherW != in_w) {
+            layer.gather.resize(static_cast<size_t>(out_h) * out_w *
+                                rf_conv);
+            int *idx = layer.gather.data();
+            for (int oh = 0; oh < out_h; ++oh)
+                for (int ow = 0; ow < out_w; ++ow)
+                    for (int c = 0; c < in_c; ++c)
+                        for (int kh = 0; kh < k; ++kh)
+                            for (int kw = 0; kw < k; ++kw) {
+                                const int ih = oh * stride - pad + kh;
+                                const int iw = ow * stride - pad + kw;
+                                *idx++ = ih < 0 || ih >= in_h || iw < 0 ||
+                                                 iw >= in_w
+                                             ? -1
+                                             : (c * in_h + ih) * in_w + iw;
+                            }
+            layer.gatherH = in_h;
+            layer.gatherW = in_w;
+        }
+        // Gather @p count consecutive windows from window @p first on.
+        auto gatherWindows = [&](int first, int count, double *windows) {
+            const int *idx =
+                layer.gather.data() + static_cast<size_t>(first) * rf_conv;
+            const size_t n = static_cast<size_t>(count) * rf_conv;
+            for (size_t e = 0; e < n; ++e)
+                windows[e] = in[idx[e]];
         };
 
         if (!binary) {
@@ -578,10 +596,7 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
             std::vector<double> windows(
                 static_cast<size_t>(out_w) * rf_conv);
             for (int oh = 0; oh < out_h; ++oh) {
-                for (int ow = 0; ow < out_w; ++ow)
-                    gatherWindow(oh, ow,
-                                 windows.data() +
-                                     static_cast<size_t>(ow) * rf_conv);
+                gatherWindows(oh * out_w, out_w, windows.data());
                 for (size_t g = 0; g < layer.groups.size(); ++g)
                     evalGroupBatch(
                         g, static_cast<int>(g) * config_.atomicSize,
@@ -598,7 +613,7 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
             SpikeVector active;
             for (int oh = 0; oh < out_h; ++oh) {
                 for (int ow = 0; ow < out_w; ++ow) {
-                    gatherWindow(oh, ow, window.data());
+                    gatherWindows(oh * out_w + ow, 1, window.data());
                     const SpikeVector *spikes =
                         binaryActive(window, active) ? &active : nullptr;
                     for (size_t g = 0; g < layer.groups.size(); ++g)

@@ -184,6 +184,10 @@ class NebulaChip
         float outputCeiling = 0.0f; //!< a_max after the following ReLU
         bool hasActivation = false;
         int dwKernelsPerAc = 0;     //!< >0 for diagonal-packed depthwise
+        /** Conv im2col table (see evaluateLayer) for one input size. */
+        std::vector<int> gather;
+        int gatherH = -1; //!< input height the table was built for
+        int gatherW = -1; //!< input width the table was built for
     };
 
     /** Program one weight layer's crossbars. */
