@@ -11,9 +11,10 @@
  * called directly, each repetition interleaved with a fixed calibration
  * kernel built like the crossbar kernels, best of many on every CPU in
  * turn. The recorded `ann.images_per_calib` / `snn.images_per_calib`
- * are images served in one calibration-kernel time: host speed divides
- * out, so CI can regress on them, and a chip that does more work per
- * image shows as a drop.
+ * (mlp3) and `ann_conv.images_per_calib` (LeNet-5) are images served in
+ * one calibration-kernel time: host speed divides out, so CI can
+ * regress on them, and a chip that does more work per image shows as
+ * a drop.
  *
  * Also measures resilience under overload (shed/timeout ratios for a
  * burst against RejectWhenFull admission control and a tight deadline)
@@ -282,9 +283,9 @@ measureCalibrated(int images, RunAll &&run_all)
 }
 
 /**
- * Single-thread chip speed: the SNN and ANN workloads run through
- * NebulaChip::runSnn/runAnn directly (no engine, no worker hand-offs),
- * normalized by the calibration kernel.
+ * Single-thread chip speed: the SNN and ANN workloads, plus a LeNet-5
+ * conv ANN, run through NebulaChip::runSnn/runAnn directly (no engine,
+ * no worker hand-offs), normalized by the calibration kernel.
  */
 void
 printChipSpeedStudy()
@@ -294,11 +295,13 @@ printChipSpeedStudy()
     const int snn_images = tiny ? 12 : 64;
     const int snn_timesteps = 16;
     const int ann_images = tiny ? 24 : 128;
+    const int conv_images = tiny ? 8 : 32;
 
     Table table("Single-thread chip speed (SNN " +
                     std::to_string(snn_images) + " images x T=" +
                     std::to_string(snn_timesteps) + ", ANN " +
-                    std::to_string(ann_images) + " images)",
+                    std::to_string(ann_images) + " images, conv ANN " +
+                    std::to_string(conv_images) + " images)",
                 {"mode", "images/sec", "images/calib"});
 
     Network clone = w.floatNet.clone();
@@ -322,9 +325,24 @@ printChipSpeedStudy()
                 ann_chip.runAnn(w.images[static_cast<size_t>(i)]).data());
     });
 
+    // The conv ANN path (batched crossbar rows, im2col gather): a
+    // seeded LeNet-5 on the same 16 px images, quantized on a few of
+    // them without training, so tiny mode stays cheap.
+    Network lenet = buildLenet5(16, 1, 10, /*seed=*/13);
+    const QuantizationResult lenet_quant =
+        quantizeNetwork(lenet, w.data.firstImages(8));
+    NebulaChip conv_chip;
+    conv_chip.programAnn(lenet, lenet_quant);
+    const CalibratedRate conv_rate = measureCalibrated(conv_images, [&] {
+        for (int i = 0; i < conv_images; ++i)
+            benchmark::DoNotOptimize(
+                conv_chip.runAnn(w.images[static_cast<size_t>(i)]).data());
+    });
+
     for (const auto &[mode, rate] :
          {std::pair<const char *, CalibratedRate>{"snn", snn_rate},
-          std::pair<const char *, CalibratedRate>{"ann", ann_rate}}) {
+          std::pair<const char *, CalibratedRate>{"ann", ann_rate},
+          std::pair<const char *, CalibratedRate>{"ann_conv", conv_rate}}) {
         const std::string prefix = mode;
         bench::record(prefix + ".images_per_sec", rate.imagesPerSec);
         bench::record(prefix + ".images_per_calib", rate.imagesPerCalib);
