@@ -937,21 +937,28 @@ NebulaChip::runSnn(const Tensor &image, int timesteps,
 void
 NebulaChip::publishRun(const ChipStats &before, Mode mode) const
 {
-    auto &registry = obs::MetricsRegistry::global();
-    registry.counter("chip.crossbar_evals")
-        .inc(static_cast<double>(stats_.crossbarEvals - before.crossbarEvals));
-    registry.counter("chip.adc_conversions")
-        .inc(static_cast<double>(stats_.adcConversions -
-                                 before.adcConversions));
-    if (mode == Mode::SNN)
-        registry.counter("chip.spikes")
-            .inc(static_cast<double>(stats_.spikes - before.spikes));
+    // Each handle is resolved once per process, on the first run that
+    // counts it, so a series still appears only when it first counts.
+    static obs::Counter &evals =
+        obs::MetricsRegistry::global().counter("chip.crossbar_evals");
+    static obs::Counter &conversions =
+        obs::MetricsRegistry::global().counter("chip.adc_conversions");
+    evals.inc(static_cast<double>(stats_.crossbarEvals - before.crossbarEvals));
+    conversions.inc(
+        static_cast<double>(stats_.adcConversions - before.adcConversions));
+    if (mode == Mode::SNN) {
+        static obs::Counter &spikes =
+            obs::MetricsRegistry::global().counter("chip.spikes");
+        spikes.inc(static_cast<double>(stats_.spikes - before.spikes));
+    }
     if (config_.abft) {
-        registry.counter("abft.checks")
-            .inc(static_cast<double>(stats_.abftChecks - before.abftChecks));
-        registry.counter("abft.violations")
-            .inc(static_cast<double>(stats_.abftViolations -
-                                     before.abftViolations));
+        static obs::Counter &checks =
+            obs::MetricsRegistry::global().counter("abft.checks");
+        static obs::Counter &violations =
+            obs::MetricsRegistry::global().counter("abft.violations");
+        checks.inc(static_cast<double>(stats_.abftChecks - before.abftChecks));
+        violations.inc(static_cast<double>(stats_.abftViolations -
+                                           before.abftViolations));
     }
 }
 

@@ -251,7 +251,8 @@ class NebulaChip
 
     /**
      * Publish the ChipStats deltas since @p before (one run) into the
-     * metrics registry.
+     * metrics registry, through counter handles resolved once per
+     * process.
      */
     void publishRun(const ChipStats &before, Mode mode) const;
 

@@ -60,6 +60,7 @@ Counter::inc(double n)
 Counter &
 MetricsRegistry::counter(const std::string &name, const Labels &labels)
 {
+    lookups_.fetch_add(1, std::memory_order_relaxed);
     const std::string key = labeledName(name, labels);
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = counters_.find(key);
@@ -71,6 +72,7 @@ MetricsRegistry::counter(const std::string &name, const Labels &labels)
 Gauge &
 MetricsRegistry::gauge(const std::string &name, const Labels &labels)
 {
+    lookups_.fetch_add(1, std::memory_order_relaxed);
     const std::string key = labeledName(name, labels);
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = gauges_.find(key);
@@ -79,16 +81,41 @@ MetricsRegistry::gauge(const std::string &name, const Labels &labels)
     return *it->second;
 }
 
+Histogram &
+MetricsRegistry::histogramLocked(const std::string &key, double lo,
+                                 double hi, int buckets)
+{
+    auto it = histograms_.find(key);
+    if (it == histograms_.end())
+        it = histograms_.emplace(key, Histogram(lo, hi, buckets)).first;
+    return it->second;
+}
+
+Histogram &
+MetricsRegistry::histogram(const std::string &name, double lo, double hi,
+                           int buckets, const Labels &labels)
+{
+    lookups_.fetch_add(1, std::memory_order_relaxed);
+    const std::string key = labeledName(name, labels);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return histogramLocked(key, lo, hi, buckets);
+}
+
 void
 MetricsRegistry::observe(const std::string &name, double value, double lo,
                          double hi, int buckets, const Labels &labels)
 {
+    lookups_.fetch_add(1, std::memory_order_relaxed);
     const std::string key = labeledName(name, labels);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = histograms_.find(key);
-    if (it == histograms_.end())
-        it = histograms_.emplace(key, Histogram(lo, hi, buckets)).first;
-    it->second.sample(value);
+    histogramLocked(key, lo, hi, buckets).sample(value);
+}
+
+void
+MetricsRegistry::observe(Histogram &histogram, double value)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    histogram.sample(value);
 }
 
 double

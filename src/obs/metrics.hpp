@@ -7,11 +7,18 @@
  * key=value labels, and the registry snapshots deterministically to
  * JSON or CSV.
  *
- * Hot-path contract: counter()/gauge() lookups take the registry mutex
- * once (cache the returned reference), after which inc()/set() are
- * single atomic operations. Instrumentation that runs per request or
- * per trial writes into MetricsRegistry::global(); tests build private
- * registries.
+ * Hot-path contract: counter()/gauge()/histogram() resolve a name to a
+ * handle under the registry mutex (the slow path, counted by
+ * lookups()); cache the returned reference, after which inc()/set()
+ * are single atomic operations and observe(Histogram &, v) samples
+ * under the mutex with no key to build. The request path follows it:
+ * ServingServer keeps a per-connection handle cache keyed by (tenant,
+ * model) and resolves each handle on its first sample, and
+ * NebulaChip::publishRun resolves its chip.* / abft.* counters once
+ * per process. The by-name calls remain for cold paths (errors, swaps,
+ * programming) and registration. Instrumentation that runs per request
+ * or per trial writes into MetricsRegistry::global(); tests build
+ * private registries.
  */
 
 #ifndef NEBULA_OBS_METRICS_HPP
@@ -93,12 +100,32 @@ class MetricsRegistry
     Gauge &gauge(const std::string &name, const Labels &labels = {});
 
     /**
+     * Histogram by (name, labels); created empty with the given shape on
+     * first use (later calls return it unchanged). The reference stays
+     * valid for the registry's lifetime; sample it through
+     * observe(Histogram &, double) only.
+     */
+    Histogram &histogram(const std::string &name, double lo, double hi,
+                         int buckets, const Labels &labels = {});
+
+    /**
      * Record one histogram sample under the registry mutex. The shape
      * applies on first use of the name only.
      */
     void observe(const std::string &name, double value, double lo = 0.0,
                  double hi = 1.0, int buckets = 32,
                  const Labels &labels = {});
+
+    /** Sample a histogram() handle under the registry mutex (no key is
+     *  built and nothing is looked up), so snapshots stay consistent. */
+    void observe(Histogram &histogram, double value);
+
+    /** By-name resolutions so far: counter(), gauge(), histogram() and
+     *  the by-name observe(). Handle use never counts. */
+    uint64_t lookups() const
+    {
+        return lookups_.load(std::memory_order_relaxed);
+    }
 
     /** Current value of a counter/gauge; 0 if it does not exist. */
     double counterValue(const std::string &name,
@@ -143,10 +170,16 @@ class MetricsRegistry
     static MetricsRegistry &global();
 
   private:
+    /** Find or create the histogram under @p key; mutex_ held. */
+    Histogram &histogramLocked(const std::string &key, double lo, double hi,
+                               int buckets);
+
     std::string name_;
+    std::atomic<uint64_t> lookups_{0};
     mutable std::mutex mutex_;
     // unique_ptr for address stability: references handed out by
     // counter()/gauge() must survive map rehashing/rebalancing.
+    // std::map nodes never move, so histogram() references are stable.
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, Histogram> histograms_;

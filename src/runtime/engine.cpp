@@ -24,7 +24,18 @@ constexpr int kLatencyBuckets = 500;
 InferenceEngine::InferenceEngine(EngineConfig config,
                                  const ReplicaFactory &factory)
     : config_(std::move(config)), factory_(factory),
-      queue_(config_.queueCapacity)
+      queue_(config_.queueCapacity),
+      inlineRequests_(inlineStats_.scalar("requests")),
+      inlineLatency_(inlineStats_.scalar("latency_ms")),
+      inlineService_(inlineStats_.scalar("service_ms")),
+      inlineWait_(inlineStats_.scalar("wait_ms")),
+      inlineSpikes_(inlineStats_.scalar("spikes")),
+      inlineLatencyHist_(inlineStats_.histogram(
+          "latency_ms.hist", kLatencyLoMs, kLatencyHiMs, kLatencyBuckets)),
+      inlineServiceHist_(inlineStats_.histogram(
+          "service_ms.hist", kLatencyLoMs, kLatencyHiMs, kLatencyBuckets)),
+      inlineWaitHist_(inlineStats_.histogram("wait_ms.hist", kLatencyLoMs,
+                                             kLatencyHiMs, kLatencyBuckets))
 {
     NEBULA_ASSERT(config_.numWorkers >= 0, "negative worker count");
     NEBULA_ASSERT(factory_, "null replica factory");
@@ -350,26 +361,15 @@ InferenceEngine::runInline(InferenceRequest request)
         result.serviceSeconds =
             std::chrono::duration<double>(end - start).count();
         span.arg("service_ms", 1e3 * result.serviceSeconds);
-        inlineStats_.scalar("requests").inc();
-        inlineStats_.scalar("latency_ms").sample(1e3 *
-                                                 result.serviceSeconds);
-        inlineStats_.scalar("service_ms").sample(1e3 *
-                                                 result.serviceSeconds);
-        inlineStats_.scalar("wait_ms").sample(0.0);
-        inlineStats_
-            .histogram("latency_ms.hist", kLatencyLoMs, kLatencyHiMs,
-                       kLatencyBuckets)
-            .sample(1e3 * result.serviceSeconds);
-        inlineStats_
-            .histogram("service_ms.hist", kLatencyLoMs, kLatencyHiMs,
-                       kLatencyBuckets)
-            .sample(1e3 * result.serviceSeconds);
-        inlineStats_
-            .histogram("wait_ms.hist", kLatencyLoMs, kLatencyHiMs,
-                       kLatencyBuckets)
-            .sample(0.0);
-        inlineStats_.scalar("spikes").add(
-            static_cast<double>(result.spikes));
+        const double service_ms = 1e3 * result.serviceSeconds;
+        inlineRequests_.inc();
+        inlineLatency_.sample(service_ms);
+        inlineService_.sample(service_ms);
+        inlineWait_.sample(0.0);
+        inlineLatencyHist_.sample(service_ms);
+        inlineServiceHist_.sample(service_ms);
+        inlineWaitHist_.sample(0.0);
+        inlineSpikes_.add(static_cast<double>(result.spikes));
         service = result.serviceSeconds;
         promise.set_value(std::move(result));
     } catch (const std::exception &e) {

@@ -229,6 +229,20 @@ class InferenceEngine
     std::unique_ptr<ChipReplica> inlineReplica_; //!< numWorkers == 0
     StatGroup inlineStats_{"inline"};
 
+    /**
+     * Cached references into inlineStats_ for the per-request inline
+     * path, bound once in the constructor as Worker binds its own
+     * (std::map nodes are stable).
+     */
+    ScalarStat &inlineRequests_;
+    ScalarStat &inlineLatency_;
+    ScalarStat &inlineService_;
+    ScalarStat &inlineWait_;
+    ScalarStat &inlineSpikes_;
+    Histogram &inlineLatencyHist_;
+    Histogram &inlineServiceHist_;
+    Histogram &inlineWaitHist_;
+
     /** Lazily built ABFT re-execution fallback for inline mode. */
     std::unique_ptr<ChipReplica> inlineAbftFallback_;
 

@@ -13,6 +13,7 @@
 
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
+#include "serving/socket_io.hpp"
 
 namespace nebula {
 namespace serving {
@@ -30,25 +31,6 @@ statusText(int status)
     case 503: return "Service Unavailable";
     }
     return "Internal Server Error";
-}
-
-bool
-sendAll(int fd, const std::string &data)
-{
-    const char *p = data.data();
-    size_t n = data.size();
-    while (n > 0) {
-        const ssize_t sent = ::send(fd, p, n, MSG_NOSIGNAL);
-        if (sent > 0) {
-            p += sent;
-            n -= static_cast<size_t>(sent);
-            continue;
-        }
-        if (sent < 0 && errno == EINTR)
-            continue;
-        return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -210,7 +192,7 @@ AdminServer::serveOne(int fd)
     reply += "Content-Length: " + std::to_string(res.body.size()) + "\r\n";
     reply += "Connection: close\r\n\r\n";
     reply += res.body;
-    sendAll(fd, reply);
+    writeFully(fd, reply.data(), reply.size());
     served_.fetch_add(1);
 }
 

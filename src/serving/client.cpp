@@ -12,49 +12,10 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "serving/socket_io.hpp"
 
 namespace nebula {
 namespace serving {
-
-namespace {
-
-bool
-readFully(int fd, void *buf, size_t n)
-{
-    uint8_t *p = static_cast<uint8_t *>(buf);
-    while (n > 0) {
-        const ssize_t got = ::recv(fd, p, n, 0);
-        if (got > 0) {
-            p += got;
-            n -= static_cast<size_t>(got);
-            continue;
-        }
-        if (got < 0 && errno == EINTR)
-            continue;
-        return false;
-    }
-    return true;
-}
-
-bool
-writeFully(int fd, const void *buf, size_t n)
-{
-    const uint8_t *p = static_cast<const uint8_t *>(buf);
-    while (n > 0) {
-        const ssize_t sent = ::send(fd, p, n, MSG_NOSIGNAL);
-        if (sent > 0) {
-            p += sent;
-            n -= static_cast<size_t>(sent);
-            continue;
-        }
-        if (sent < 0 && errno == EINTR)
-            continue;
-        return false;
-    }
-    return true;
-}
-
-} // namespace
 
 ServingClient::~ServingClient()
 {

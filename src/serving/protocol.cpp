@@ -116,16 +116,6 @@ ByteReader::i32(int32_t &v)
 }
 
 bool
-ByteReader::f32(float &v)
-{
-    uint32_t raw;
-    if (!u32(raw))
-        return false;
-    v = std::bit_cast<float>(raw);
-    return true;
-}
-
-bool
 ByteReader::f64(double &v)
 {
     uint64_t raw;
@@ -171,12 +161,6 @@ ByteWriter::u64(uint64_t v)
 }
 
 void
-ByteWriter::f32(float v)
-{
-    u32(std::bit_cast<uint32_t>(v));
-}
-
-void
 ByteWriter::f64(double v)
 {
     u64(std::bit_cast<uint64_t>(v));
@@ -193,14 +177,27 @@ ByteWriter::bytes(const void *data, size_t n)
 
 namespace {
 
+// Tensor payloads travel as one block copy of the host floats: that is
+// the wire's little-endian IEEE-754 layout only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the bulk tensor codec needs a little-endian host");
+static_assert(sizeof(float) == 4, "wire floats are 4 bytes");
+
+/** Encoded size of writeTensor(t). */
+size_t
+tensorBytes(const Tensor &t)
+{
+    return 1 + 4 * static_cast<size_t>(t.rank()) +
+           4 * static_cast<size_t>(t.size());
+}
+
 void
 writeTensor(ByteWriter &w, const Tensor &t)
 {
     w.u8(static_cast<uint8_t>(t.rank()));
     for (int i = 0; i < t.rank(); ++i)
         w.i32(t.dim(i));
-    for (long long i = 0; i < t.size(); ++i)
-        w.f32(t[i]);
+    w.bytes(t.data(), 4 * static_cast<size_t>(t.size()));
 }
 
 /** Shape-validated tensor read; BadFrame on any violation. */
@@ -224,9 +221,8 @@ readTensor(ByteReader &r, Tensor &out)
     if (r.remaining() < static_cast<size_t>(total) * 4)
         return false;
     Tensor t(shape);
-    for (long long i = 0; i < total; ++i)
-        if (!r.f32(t[i]))
-            return false;
+    if (!r.bytes(t.data(), static_cast<size_t>(total) * 4))
+        return false;
     out = std::move(t);
     return true;
 }
@@ -319,6 +315,9 @@ std::vector<uint8_t>
 encodeRequestBody(const WireRequest &request)
 {
     std::vector<uint8_t> body;
+    body.reserve(29 + 2 + std::min<size_t>(request.tenant.size(), 255) +
+                 std::min<size_t>(request.model.size(), 255) +
+                 tensorBytes(request.image));
     ByteWriter w(body);
     w.u64(request.corrId);
     w.u8(static_cast<uint8_t>(request.mode));
@@ -334,16 +333,17 @@ encodeRequestBody(const WireRequest &request)
 std::vector<uint8_t>
 encodeResponseBody(const WireResponse &response)
 {
+    const size_t message_len =
+        std::min<size_t>(response.message.size(), 65535);
     std::vector<uint8_t> body;
+    body.reserve(24 + message_len + tensorBytes(response.logits));
     ByteWriter w(body);
     w.u64(response.corrId);
     w.u16(static_cast<uint16_t>(response.status));
     w.i32(response.predictedClass);
     w.f64(response.serverMs);
-    std::string message = response.message.substr(
-        0, std::min<size_t>(response.message.size(), 65535));
-    w.u16(static_cast<uint16_t>(message.size()));
-    w.bytes(message.data(), message.size());
+    w.u16(static_cast<uint16_t>(message_len));
+    w.bytes(response.message.data(), message_len);
     writeTensor(w, response.logits);
     return body;
 }

@@ -191,7 +191,6 @@ class ByteReader
     bool u32(uint32_t &v);
     bool u64(uint64_t &v);
     bool i32(int32_t &v);
-    bool f32(float &v);
     bool f64(double &v);
     bool bytes(void *out, size_t n);
     bool str(std::string &out, size_t len);
@@ -216,7 +215,6 @@ class ByteWriter
     void u32(uint32_t v);
     void u64(uint64_t v);
     void i32(int32_t v) { u32(static_cast<uint32_t>(v)); }
-    void f32(float v);
     void f64(double v);
     void bytes(const void *data, size_t n);
 

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -17,49 +18,12 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reliability/health.hpp"
+#include "serving/socket_io.hpp"
 
 namespace nebula {
 namespace serving {
 
 namespace {
-
-/** recv exactly @p n bytes; false on EOF, error or timeout. */
-bool
-readFully(int fd, void *buf, size_t n)
-{
-    uint8_t *p = static_cast<uint8_t *>(buf);
-    while (n > 0) {
-        const ssize_t got = ::recv(fd, p, n, 0);
-        if (got > 0) {
-            p += got;
-            n -= static_cast<size_t>(got);
-            continue;
-        }
-        if (got < 0 && errno == EINTR)
-            continue;
-        return false; // EOF (0), timeout or hard error
-    }
-    return true;
-}
-
-/** send the whole buffer; false on error. Never raises SIGPIPE. */
-bool
-writeFully(int fd, const void *buf, size_t n)
-{
-    const uint8_t *p = static_cast<const uint8_t *>(buf);
-    while (n > 0) {
-        const ssize_t sent = ::send(fd, p, n, MSG_NOSIGNAL);
-        if (sent > 0) {
-            p += sent;
-            n -= static_cast<size_t>(sent);
-            continue;
-        }
-        if (sent < 0 && errno == EINTR)
-            continue;
-        return false;
-    }
-    return true;
-}
 
 WireStatus
 fromRuntimeError(RuntimeErrorKind kind)
@@ -79,22 +43,72 @@ constexpr double kLatencyHistLoMs = 0.0;
 constexpr double kLatencyHistHiMs = 500.0;
 constexpr int kLatencyHistBuckets = 500;
 
+/** telemetry.energy_j{component} label values, in EnergyBreakdown order. */
+constexpr std::array<const char *, 5> kEnergyComponents = {
+    "crossbar", "driver", "adc", "neuron", "noc"};
+
+/** Engine outcomes (Ok .. Cancelled) are the low WireStatus values. */
+constexpr size_t kEngineStatuses =
+    static_cast<size_t>(WireStatus::Cancelled) + 1;
+
+/**
+ * The counter in @p slot, resolved by name on first use: the series
+ * is created when it first counts, and @p labels is only built then.
+ */
+template <typename MakeLabels>
+obs::Counter &
+lazyCounter(obs::Counter *&slot, const char *name, MakeLabels labels)
+{
+    if (!slot)
+        slot = &obs::MetricsRegistry::global().counter(name, labels());
+    return *slot;
+}
+
 } // namespace
 
 /** One live client connection: reader + writer + response pipeline. */
 struct ServingServer::Connection
 {
+    /**
+     * Metric handles of one (tenant, catalog id) cell, each resolved on
+     * its first sample. The reader thread creates cells and owns
+     * `requests`; the writer owns every other handle of the cell its
+     * Pending points at. Map nodes never move, so that pointer stays
+     * valid while the reader adds cells.
+     */
+    struct Cell
+    {
+        std::string tenant;
+        std::string model; //!< catalog id, for SLO / energy attribution
+        obs::Counter *requests = nullptr;
+        std::array<obs::Counter *, kEnergyComponents.size()> energy{};
+        obs::Counter *inferences = nullptr;
+        obs::Counter *tenantEnergy = nullptr;
+        obs::Counter *tenantInferences = nullptr;
+        std::array<obs::Counter *, kEngineStatuses> responses{};
+        Histogram *latency = nullptr;
+    };
+
     /** One slot of the in-order response pipeline. */
     struct Pending
     {
         WireResponse ready;  //!< used when !future.valid()
         std::future<InferenceResult> future;
         std::shared_ptr<ModelInstance> instance;
-        std::string tenant;
-        std::string model; //!< catalog id, for SLO / energy attribution
+        Cell *cell = nullptr; //!< set exactly when future.valid()
         std::chrono::steady_clock::time_point received;
         bool closeAfter = false;
     };
+
+    /** The cell of (@p tenant, @p model); reader thread only. */
+    Cell &cellFor(const std::string &tenant, const std::string &model)
+    {
+        auto &models = cells[tenant];
+        auto it = models.find(model);
+        if (it == models.end())
+            it = models.emplace(model, Cell{tenant, model}).first;
+        return it->second;
+    }
 
     int fd = -1;
     uint64_t id = 0;
@@ -105,6 +119,11 @@ struct ServingServer::Connection
     std::condition_variable cv;
     std::deque<Pending> pipeline;
     bool readerDone = false;
+
+    /** tenant -> catalog id -> handles (see Cell). */
+    std::map<std::string, std::map<std::string, Cell, std::less<>>,
+             std::less<>>
+        cells;
 
     std::atomic<bool> dead{false};     //!< socket broken: stop writing
     std::atomic<bool> readerExited{false};
@@ -314,7 +333,10 @@ ServingServer::dispatch(Connection &conn, WireRequest request)
         return true;
     }
 
-    metrics.counter("serving.requests", {{"tenant", request.tenant}}).inc();
+    Connection::Cell &cell = conn.cellFor(request.tenant, catalog_id);
+    lazyCounter(cell.requests, "serving.requests", [&] {
+        return obs::Labels{{"tenant", cell.tenant}};
+    }).inc();
 
     // Admission layer 2: the engine (queue-full / deadline shedding,
     // typed outcomes inside the future). An eviction racing this
@@ -357,8 +379,7 @@ ServingServer::dispatch(Connection &conn, WireRequest request)
     pending.ready.corrId = request.corrId;
     pending.future = std::move(future);
     pending.instance = std::move(instance);
-    pending.tenant = request.tenant;
-    pending.model = catalog_id;
+    pending.cell = &cell;
     pending.received = received;
     conn.pipeline.push_back(std::move(pending));
     lock.unlock();
@@ -464,6 +485,7 @@ ServingServer::writerLoop(Connection &conn)
 
         WireResponse response = std::move(pending.ready);
         if (pending.future.valid()) {
+            Connection::Cell &cell = *pending.cell;
             // The engine guarantees a typed terminal outcome -- this
             // get() never hangs on a broken promise.
             InferenceResult result = pending.future.get();
@@ -485,8 +507,7 @@ ServingServer::writerLoop(Connection &conn)
                  (kIntegrityFlagViolation | kIntegrityFlagReExecuted)) != 0)
                 metrics
                     .counter("serving.abft.flagged",
-                             {{"tenant", pending.tenant},
-                              {"model", pending.model}})
+                             {{"tenant", cell.tenant}, {"model", cell.model}})
                     .inc();
 
             const double ms =
@@ -498,7 +519,7 @@ ServingServer::writerLoop(Connection &conn)
             // Engine outcomes are all server-owned: anything but Ok
             // burns error budget (client-caused refusals never reach
             // the engine; dispatch() records those as excluded).
-            slo_.record(pending.tenant, pending.model, ms,
+            slo_.record(cell.tenant, cell.model, ms,
                         /*server_error=*/response.status != WireStatus::Ok);
             if (result.ok()) {
                 // Per-request energy attribution: bill the chip-model
@@ -507,47 +528,53 @@ ServingServer::writerLoop(Connection &conn)
                 // backends report zero (the series still exists, so a
                 // reader can distinguish "no energy model" from "no
                 // traffic").
-                const std::map<std::string, double> components = {
-                    {"crossbar", result.energy.crossbarJ},
-                    {"driver", result.energy.driverJ},
-                    {"adc", result.energy.adcJ},
-                    {"neuron", result.energy.neuronJ},
-                    {"noc", result.energy.nocJ},
-                };
-                for (const auto &[component, joules] : components)
-                    metrics
-                        .counter("telemetry.energy_j",
-                                 {{"tenant", pending.tenant},
-                                  {"model", pending.model},
-                                  {"component", component}})
-                        .inc(joules);
-                metrics
-                    .counter("telemetry.inferences",
-                             {{"tenant", pending.tenant},
-                              {"model", pending.model}})
-                    .inc();
-                metrics
-                    .counter("telemetry.tenant.energy_j",
-                             {{"tenant", pending.tenant}})
+                const std::array<double, kEnergyComponents.size()> joules =
+                    {result.energy.crossbarJ, result.energy.driverJ,
+                     result.energy.adcJ, result.energy.neuronJ,
+                     result.energy.nocJ};
+                for (size_t c = 0; c < joules.size(); ++c)
+                    lazyCounter(cell.energy[c], "telemetry.energy_j", [&] {
+                        return obs::Labels{{"tenant", cell.tenant},
+                                           {"model", cell.model},
+                                           {"component",
+                                            kEnergyComponents[c]}};
+                    }).inc(joules[c]);
+                lazyCounter(cell.inferences, "telemetry.inferences", [&] {
+                    return obs::Labels{{"tenant", cell.tenant},
+                                       {"model", cell.model}};
+                }).inc();
+                lazyCounter(cell.tenantEnergy, "telemetry.tenant.energy_j",
+                            [&] {
+                                return obs::Labels{{"tenant", cell.tenant}};
+                            })
                     .inc(result.energy.total());
-                metrics
-                    .counter("telemetry.tenant.inferences",
-                             {{"tenant", pending.tenant}})
+                lazyCounter(cell.tenantInferences,
+                            "telemetry.tenant.inferences", [&] {
+                                return obs::Labels{{"tenant", cell.tenant}};
+                            })
                     .inc();
             }
-            metrics.observe("serving.latency_ms", ms, kLatencyHistLoMs,
-                            kLatencyHistHiMs, kLatencyHistBuckets,
-                            {{"tenant", pending.tenant}});
-            metrics
-                .counter("serving.responses",
-                         {{"tenant", pending.tenant},
-                          {"status", toString(response.status)}})
-                .inc();
+            if (!cell.latency)
+                cell.latency = &metrics.histogram(
+                    "serving.latency_ms", kLatencyHistLoMs, kLatencyHistHiMs,
+                    kLatencyHistBuckets, {{"tenant", cell.tenant}});
+            metrics.observe(*cell.latency, ms);
+            const auto status = static_cast<size_t>(response.status);
+            auto responses_labels = [&] {
+                return obs::Labels{{"tenant", cell.tenant},
+                                   {"status", toString(response.status)}};
+            };
+            if (status < kEngineStatuses)
+                lazyCounter(cell.responses[status], "serving.responses",
+                            responses_labels)
+                    .inc();
+            else
+                metrics.counter("serving.responses", responses_labels())
+                    .inc();
             if (response.status == WireStatus::Shed)
                 metrics
                     .counter("serving.shed",
-                             {{"tenant", pending.tenant},
-                              {"reason", "engine"}})
+                             {{"tenant", cell.tenant}, {"reason", "engine"}})
                     .inc();
         }
 

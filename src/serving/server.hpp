@@ -15,8 +15,13 @@
  * connection closes -- the framing cannot be trusted afterwards).
  *
  * Observability: per-tenant serving.requests / serving.shed counters,
- * serving.latency_ms histograms (p50/p95/p99 via snapshot) and
- * serving-category trace spans land in MetricsRegistry::global().
+ * serving.latency_ms histograms (p50/p95/p99 via snapshot), per-request
+ * telemetry.energy_j billing and serving-category trace spans land in
+ * MetricsRegistry::global(). The request path resolves no metric by
+ * name after a (tenant, model)'s first request on a connection: each
+ * connection caches the handles of the series it bills per (tenant,
+ * catalog id), resolving each one on its first sample so a series
+ * still appears only when it first counts.
  */
 
 #ifndef NEBULA_SERVING_SERVER_HPP

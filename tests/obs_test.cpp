@@ -214,6 +214,34 @@ TEST(MetricsTest, CountersAreThreadSafe)
     EXPECT_DOUBLE_EQ(counter.value(), 40000.0);
 }
 
+TEST(MetricsTest, HandlesSkipTheByNameLookup)
+{
+    obs::MetricsRegistry reg("r");
+    EXPECT_EQ(reg.lookups(), 0u);
+    obs::Counter &counter = reg.counter("n", {{"tenant", "a"}});
+    Histogram &hist = reg.histogram("lat_ms", 0.0, 10.0, 10, {{"tenant", "a"}});
+    EXPECT_EQ(reg.lookups(), 2u);
+
+    // The handle and the by-name path address the same series; the
+    // shape of an existing histogram is kept.
+    EXPECT_EQ(&reg.histogram("lat_ms", 0.0, 99.0, 3, {{"tenant", "a"}}),
+              &hist);
+    reg.observe("lat_ms", 3.0, 0.0, 99.0, 3, {{"tenant", "a"}});
+    EXPECT_EQ(reg.lookups(), 4u);
+    for (int i = 0; i < 5; ++i) {
+        counter.inc();
+        reg.observe(hist, 7.0);
+    }
+    EXPECT_EQ(reg.lookups(), 4u);
+
+    const StatGroup snap = reg.snapshot();
+    const Histogram &seen = snap.histogramAt("lat_ms{tenant=\"a\"}");
+    EXPECT_EQ(seen.count(), 6u);
+    EXPECT_EQ(seen.bins().size(), 10u);
+    EXPECT_DOUBLE_EQ(seen.sum(), 38.0);
+    EXPECT_DOUBLE_EQ(reg.counterValue("n", {{"tenant", "a"}}), 5.0);
+}
+
 TEST(MetricsTest, SnapshotAndSerializationAreDeterministic)
 {
     obs::MetricsRegistry reg("chipmetrics");

@@ -7,7 +7,9 @@
  * Prometheus text exposition (one TYPE line per family, parseable line
  * grammar), wire-protocol version compatibility (v1 frames decode with
  * trace id 0, v2 round-trips the id, unknown versions are typed),
- * per-request energy attribution from the chip model, admin-endpoint
+ * the bulk tensor codec against the per-element reference encoder,
+ * per-request energy attribution from the chip model, exact wire
+ * billing and a zero by-name-lookup request path, admin-endpoint
  * HTTP behavior and /statusz JSON validity under concurrent load, and
  * cross-process flow events linking client -> server -> worker spans.
  * The suite runs under ThreadSanitizer in CI.
@@ -20,9 +22,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <iterator>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -335,6 +341,171 @@ TEST(WireCompat, UnknownVersionsStayTyped)
               WireStatus::BadFrame);
 }
 
+/** The per-element tensor encoder the bulk codec replaced: the byte
+ *  layout reference. */
+void
+referenceWriteTensor(serving::ByteWriter &w, const Tensor &t)
+{
+    w.u8(static_cast<uint8_t>(t.rank()));
+    for (int i = 0; i < t.rank(); ++i)
+        w.i32(t.dim(i));
+    for (long long i = 0; i < t.size(); ++i)
+        w.u32(std::bit_cast<uint32_t>(t[i]));
+}
+
+std::vector<uint8_t>
+referenceRequestFrame(const serving::WireRequest &request)
+{
+    std::vector<uint8_t> body;
+    serving::ByteWriter w(body);
+    w.u64(request.corrId);
+    w.u8(static_cast<uint8_t>(request.mode));
+    w.u32(request.timesteps);
+    w.u64(request.deadlineNs);
+    w.u64(request.seed);
+    for (const std::string *s : {&request.tenant, &request.model}) {
+        const size_t n = std::min<size_t>(s->size(), 255);
+        w.u8(static_cast<uint8_t>(n));
+        w.bytes(s->data(), n);
+    }
+    referenceWriteTensor(w, request.image);
+    return serving::encodeFrame(serving::FrameType::Request, body,
+                                request.traceId);
+}
+
+std::vector<uint8_t>
+referenceResponseFrame(const serving::WireResponse &response)
+{
+    std::vector<uint8_t> body;
+    serving::ByteWriter w(body);
+    w.u64(response.corrId);
+    w.u16(static_cast<uint16_t>(response.status));
+    w.i32(response.predictedClass);
+    w.f64(response.serverMs);
+    const size_t n = std::min<size_t>(response.message.size(), 65535);
+    w.u16(static_cast<uint16_t>(n));
+    w.bytes(response.message.data(), n);
+    referenceWriteTensor(w, response.logits);
+    return serving::encodeFrame(serving::FrameType::Response, body,
+                                /*trace_id=*/0, response.integrity);
+}
+
+/** Body of an encoded frame (after the header and its extension). */
+std::pair<const uint8_t *, size_t>
+frameBody(const std::vector<uint8_t> &frame)
+{
+    serving::FrameHeader header;
+    EXPECT_EQ(serving::decodeHeader(frame.data(), serving::kHeaderBytes,
+                                    1 << 24, header),
+              serving::WireStatus::Ok);
+    const size_t offset =
+        serving::kHeaderBytes + serving::headerExtraBytes(header.version);
+    EXPECT_EQ(frame.size(), offset + header.bodyLen);
+    return {frame.data() + offset, header.bodyLen};
+}
+
+/** Same rank, dims and float bits. A decoded rank-0 tensor is checked
+ *  for rank only: rank 0 carries no payload on the wire. */
+bool
+sameTensorBits(const Tensor &decoded, const Tensor &sent)
+{
+    if (decoded.rank() != sent.rank())
+        return false;
+    if (sent.rank() == 0)
+        return true;
+    return decoded.shape() == sent.shape() &&
+           std::memcmp(decoded.data(), sent.data(),
+                       4 * static_cast<size_t>(sent.size())) == 0;
+}
+
+TEST(WireCompat, BulkTensorCodecIsByteIdentical)
+{
+    using namespace serving;
+    std::mt19937_64 rng(0xB0C0DECull);
+    const uint32_t specials[] = {
+        0x80000000u, // -0.0
+        0x7f800000u, // +inf
+        0xff800000u, // -inf
+        0x7fc00000u, // quiet NaN
+        0x7fa5a5a5u, // signalling NaN with payload bits
+        0xffc12345u, // negative quiet NaN with payload bits
+        0x00000001u, // smallest denormal
+        0x807fffffu, // largest negative denormal
+    };
+    auto randomTensor = [&] {
+        const int rank = static_cast<int>(rng() % 5);
+        if (rank == 0)
+            return Tensor();
+        std::vector<int> shape(static_cast<size_t>(rank));
+        for (int &d : shape)
+            d = 1 + static_cast<int>(rng() % 5);
+        Tensor t(shape);
+        for (long long i = 0; i < t.size(); ++i) {
+            const uint64_t pick = rng() % 4;
+            const uint32_t bits =
+                pick == 0 ? specials[rng() % std::size(specials)]
+                          : static_cast<uint32_t>(rng());
+            t[i] = std::bit_cast<float>(bits);
+        }
+        return t;
+    };
+    auto randomString = [&](size_t max_len) {
+        std::string s(1 + rng() % max_len, ' ');
+        for (char &c : s)
+            c = static_cast<char>(rng());
+        return s;
+    };
+
+    for (int trial = 0; trial < 1000; ++trial) {
+        WireRequest request;
+        request.corrId = rng();
+        request.mode = static_cast<WireMode>(rng() % 3);
+        request.timesteps = static_cast<uint32_t>(rng());
+        request.deadlineNs = rng();
+        request.seed = rng();
+        request.traceId = trial % 2 ? rng() : 0;
+        request.tenant = randomString(trial % 50 == 0 ? 300 : 24);
+        request.model = randomString(trial % 70 == 0 ? 300 : 16);
+        request.image = randomTensor();
+
+        const std::vector<uint8_t> frame = encodeRequestFrame(request);
+        ASSERT_EQ(frame, referenceRequestFrame(request)) << "trial " << trial;
+        const auto [body, size] = frameBody(frame);
+        WireRequest decoded;
+        ASSERT_EQ(decodeRequestBody(body, size, decoded), WireStatus::Ok);
+        EXPECT_EQ(decoded.corrId, request.corrId);
+        EXPECT_EQ(decoded.seed, request.seed);
+        EXPECT_EQ(decoded.tenant, request.tenant.substr(0, 255));
+        EXPECT_EQ(decoded.model, request.model.substr(0, 255));
+        ASSERT_TRUE(sameTensorBits(decoded.image, request.image))
+            << "trial " << trial;
+
+        WireResponse response;
+        response.corrId = rng();
+        response.status = static_cast<WireStatus>(rng() % 6);
+        response.predictedClass = static_cast<int32_t>(rng());
+        response.serverMs = std::bit_cast<double>(rng());
+        response.integrity = static_cast<uint8_t>(rng() % 8);
+        response.message =
+            trial % 100 == 0 ? std::string(70000, 'm') : randomString(40);
+        response.logits = randomTensor();
+
+        const std::vector<uint8_t> reply = encodeResponseFrame(response);
+        ASSERT_EQ(reply, referenceResponseFrame(response))
+            << "trial " << trial;
+        const auto [reply_body, reply_size] = frameBody(reply);
+        WireResponse back;
+        ASSERT_EQ(decodeResponseBody(reply_body, reply_size, back),
+                  WireStatus::Ok);
+        EXPECT_EQ(back.corrId, response.corrId);
+        EXPECT_EQ(std::bit_cast<uint64_t>(back.serverMs),
+                  std::bit_cast<uint64_t>(response.serverMs));
+        EXPECT_EQ(back.message, response.message.substr(0, 65535));
+        ASSERT_TRUE(sameTensorBits(back.logits, response.logits))
+            << "trial " << trial;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Energy attribution
 // ---------------------------------------------------------------------------
@@ -604,6 +775,190 @@ TEST(ServingTelemetry, ClientErrorsLandExcludedInTheSlo)
 
     server.stop();
     registry->shutdown();
+}
+
+/** True if a /metrics sample of family @p family carries
+ *  `tenant="<tenant>"`. */
+bool
+promFamilyHasTenant(const std::string &text, const std::string &family,
+                    const std::string &tenant)
+{
+    const std::string label = "tenant=\"" + tenant + "\"";
+    size_t pos = 0;
+    while (pos < text.size()) {
+        size_t end = text.find('\n', pos);
+        if (end == std::string::npos)
+            end = text.size();
+        const std::string line = text.substr(pos, end - pos);
+        pos = end + 1;
+        if (line.rfind(family, 0) == 0 &&
+            line.find(label) != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
+TEST(ServingTelemetry, WireBillingIsExact)
+{
+    constexpr int kRequests = 128;
+    constexpr int kPipelined = 8;
+    const std::string tenant = "tenant-billing";
+    const std::string refused = "tenant-billing-refused";
+
+    auto registry = std::make_shared<serving::ModelRegistry>(
+        fastRegistry({"mlp3/ann"}, 1));
+    serving::ServingServer server(serving::ServerConfig{}, registry);
+    server.start();
+
+    SyntheticDigits data(16, 16, /*seed=*/5);
+    serving::ServingClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+
+    // A tenant whose every request fails validation leaves no billing
+    // series behind.
+    EXPECT_EQ(client
+                  .infer(refused, "mlp3", serving::WireMode::Ann,
+                         Tensor({1, 1, 4, 4}))
+                  .status,
+              serving::WireStatus::BadRequest);
+    EXPECT_EQ(client
+                  .infer(refused, "nosuch", serving::WireMode::Ann,
+                         data.image(0))
+                  .status,
+              serving::WireStatus::UnknownModel);
+
+    for (int base = 0; base < kRequests; base += kPipelined) {
+        std::vector<std::future<serving::WireResponse>> replies;
+        for (int i = base; i < base + kPipelined; ++i)
+            replies.push_back(client.inferAsync(tenant, "mlp3",
+                                                serving::WireMode::Ann,
+                                                data.image(i % data.size())));
+        for (auto &reply : replies)
+            ASSERT_EQ(reply.get().status, serving::WireStatus::Ok);
+    }
+    client.close();
+    server.stop();
+    registry->shutdown();
+
+    // Replay the same images, in the same order, on a fresh replica of
+    // the servable the registry programmed: per-request joules depend
+    // on the chip's cumulative history, so the order matters.
+    serving::ServableModelSpec spec;
+    ASSERT_TRUE(serving::parseServableId("mlp3/ann", spec));
+    spec.epochs = 0;
+    spec.trainImages = 64;
+    std::unique_ptr<ChipReplica> replica =
+        serving::ServableLoader::global().makeFactory(spec, {})(0);
+    EnergyBreakdown sum;
+    double total = 0.0;
+    for (int i = 0; i < kRequests; ++i) {
+        InferenceRequest request;
+        request.image = data.image(i % data.size());
+        const InferenceResult result = replica->run(request);
+        ASSERT_TRUE(result.ok());
+        sum.crossbarJ += result.energy.crossbarJ;
+        sum.driverJ += result.energy.driverJ;
+        sum.adcJ += result.energy.adcJ;
+        sum.neuronJ += result.energy.neuronJ;
+        sum.nocJ += result.energy.nocJ;
+        total += result.energy.total();
+    }
+    ASSERT_GT(total, 0.0);
+
+    auto &metrics = obs::MetricsRegistry::global();
+    const obs::Labels cell = {{"tenant", tenant}, {"model", "mlp3/ann"}};
+    const double n = kRequests;
+    EXPECT_EQ(metrics.counterValue("serving.requests", {{"tenant", tenant}}),
+              n);
+    EXPECT_EQ(metrics.counterValue("serving.responses",
+                                   {{"tenant", tenant}, {"status", "ok"}}),
+              n);
+    EXPECT_EQ(metrics.counterValue("telemetry.inferences", cell), n);
+    EXPECT_EQ(
+        metrics.counterValue("telemetry.tenant.inferences",
+                             {{"tenant", tenant}}),
+        n);
+    const StatGroup snapshot = metrics.snapshot();
+    const std::string latency =
+        obs::labeledName("serving.latency_ms", {{"tenant", tenant}});
+    ASSERT_TRUE(snapshot.hasHistogram(latency));
+    EXPECT_EQ(snapshot.histogramAt(latency).count(),
+              static_cast<uint64_t>(kRequests));
+
+    // Joules are billed bit for bit: the counters add each request's
+    // energy in response order, exactly as the replay sums it.
+    const std::pair<const char *, double> components[] = {
+        {"crossbar", sum.crossbarJ}, {"driver", sum.driverJ},
+        {"adc", sum.adcJ},           {"neuron", sum.neuronJ},
+        {"noc", sum.nocJ},
+    };
+    for (const auto &[component, joules] : components) {
+        obs::Labels labels = cell;
+        labels.emplace_back("component", component);
+        EXPECT_EQ(metrics.counterValue("telemetry.energy_j", labels), joules)
+            << component;
+    }
+    EXPECT_EQ(metrics.counterValue("telemetry.tenant.energy_j",
+                                   {{"tenant", tenant}}),
+              total);
+
+    const std::string text = metrics.toPrometheus();
+    EXPECT_TRUE(promFamilyHasTenant(text, "serving_requests", tenant));
+    for (const char *family : {"serving_requests", "serving_responses",
+                               "serving_latency_ms", "telemetry_"})
+        EXPECT_FALSE(promFamilyHasTenant(text, family, refused)) << family;
+}
+
+TEST(ServingTelemetry, RequestPathResolvesNoMetricByName)
+{
+    constexpr int kMore = 200;
+    constexpr int kPipelined = 8;
+    auto &metrics = obs::MetricsRegistry::global();
+    SyntheticDigits data(8, 16, /*seed=*/9);
+
+    auto registry = std::make_shared<serving::ModelRegistry>(
+        fastRegistry({"mlp3/ann"}, 1));
+    serving::ServingServer server(serving::ServerConfig{}, registry);
+    server.start();
+    serving::ServingClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    // The first request of the connection and (tenant, model) resolves
+    // every handle its later requests use.
+    ASSERT_EQ(client
+                  .infer("tenant-handles", "mlp3", serving::WireMode::Ann,
+                         data.image(0))
+                  .status,
+              serving::WireStatus::Ok);
+    const uint64_t before_wire = metrics.lookups();
+    for (int base = 0; base < kMore; base += kPipelined) {
+        std::vector<std::future<serving::WireResponse>> replies;
+        for (int i = base; i < base + kPipelined; ++i)
+            replies.push_back(client.inferAsync(
+                "tenant-handles", "mlp3", serving::WireMode::Ann,
+                data.image(i % data.size())));
+        for (auto &reply : replies)
+            ASSERT_EQ(reply.get().status, serving::WireStatus::Ok);
+    }
+    EXPECT_EQ(metrics.lookups() - before_wire, 0u);
+    client.close();
+    server.stop();
+    registry->shutdown();
+
+    serving::ServableModelSpec spec;
+    ASSERT_TRUE(serving::parseServableId("mlp3/ann", spec));
+    spec.epochs = 0;
+    spec.trainImages = 64;
+    std::unique_ptr<ChipReplica> replica =
+        serving::ServableLoader::global().makeFactory(spec, {})(0);
+    InferenceRequest request;
+    request.image = data.image(1);
+    ASSERT_TRUE(replica->run(request).ok());
+    const uint64_t before_chip = metrics.lookups();
+    for (int i = 0; i < kMore; ++i) {
+        request.image = data.image(i % data.size());
+        ASSERT_TRUE(replica->run(request).ok());
+    }
+    EXPECT_EQ(metrics.lookups() - before_chip, 0u);
 }
 
 // ---------------------------------------------------------------------------
