@@ -73,9 +73,12 @@ struct EngineConfig
 {
     /**
      * Worker threads, each holding its own programmed chip replica.
-     * 0 selects the deterministic inline mode: requests execute
-     * synchronously on the submitting thread against a single replica,
-     * in exact submission order (the bit-exact reference mode).
+     * 0 selects the deterministic inline mode: one never-started
+     * worker runs the pool's request lifecycle (deadline/cancel checks,
+     * ABFT hedging, health probes, supervisor restarts) synchronously
+     * on the submitting thread against a single replica, in exact
+     * submission order (the bit-exact reference mode). It serves one
+     * submitting thread at a time and bypasses admission shedding.
      */
     int numWorkers = 2;
 

@@ -12,30 +12,10 @@
 
 namespace nebula {
 
-namespace {
-
-// Same shape as the worker-side histograms so merges stay bin-exact.
-constexpr double kLatencyLoMs = 0.0;
-constexpr double kLatencyHiMs = 250.0;
-constexpr int kLatencyBuckets = 500;
-
-} // namespace
-
 InferenceEngine::InferenceEngine(EngineConfig config,
                                  const ReplicaFactory &factory)
     : config_(std::move(config)), factory_(factory),
-      queue_(config_.queueCapacity),
-      inlineRequests_(inlineStats_.scalar("requests")),
-      inlineLatency_(inlineStats_.scalar("latency_ms")),
-      inlineService_(inlineStats_.scalar("service_ms")),
-      inlineWait_(inlineStats_.scalar("wait_ms")),
-      inlineSpikes_(inlineStats_.scalar("spikes")),
-      inlineLatencyHist_(inlineStats_.histogram(
-          "latency_ms.hist", kLatencyLoMs, kLatencyHiMs, kLatencyBuckets)),
-      inlineServiceHist_(inlineStats_.histogram(
-          "service_ms.hist", kLatencyLoMs, kLatencyHiMs, kLatencyBuckets)),
-      inlineWaitHist_(inlineStats_.histogram("wait_ms.hist", kLatencyLoMs,
-                                             kLatencyHiMs, kLatencyBuckets))
+      queue_(config_.queueCapacity)
 {
     NEBULA_ASSERT(config_.numWorkers >= 0, "negative worker count");
     NEBULA_ASSERT(factory_, "null replica factory");
@@ -43,27 +23,17 @@ InferenceEngine::InferenceEngine(EngineConfig config,
     HealthMonitor *health = config_.health.get();
     const bool health_on = health && health->config().enabled;
 
-    if (config_.numWorkers == 0) {
-        inlineReplica_ = factory_(0);
-        NEBULA_ASSERT(inlineReplica_, "factory returned null replica");
-        if (health_on) {
-            health->resizeSlots(1);
-            if (!health->hasExpected())
-                health->captureExpected(*inlineReplica_,
-                                        config_.defaultTimesteps);
-        }
-        NEBULA_DEBUG("runtime", "engine up in inline mode");
-        return;
-    }
-
+    // Inline mode still builds one replica: its never-started worker
+    // runs processItem on the submitting thread.
+    const int count = std::max(config_.numWorkers, 1);
     std::vector<std::unique_ptr<ChipReplica>> replicas;
-    replicas.reserve(static_cast<size_t>(config_.numWorkers));
-    for (int i = 0; i < config_.numWorkers; ++i) {
+    replicas.reserve(static_cast<size_t>(count));
+    for (int i = 0; i < count; ++i) {
         replicas.push_back(factory_(i));
         NEBULA_ASSERT(replicas.back(), "factory returned null replica");
     }
     if (health_on) {
-        health->resizeSlots(config_.numWorkers);
+        health->resizeSlots(count);
         // Capture the golden canary logits from replica 0 while it is
         // still pristine -- replicas are programmed identically, so one
         // expectation covers every slot.
@@ -81,7 +51,7 @@ InferenceEngine::InferenceEngine(EngineConfig config,
     hooks.abftFallback = config_.abft.fallback;
     if (config_.maxConsecutiveFaults > 0) {
         hooks.superviseRestart =
-            [this](int id, std::unique_ptr<ChipReplica> old) {
+            [this](int slot, std::unique_ptr<ChipReplica> old) {
                 {
                     // Bounded retention: a permanently bad worker
                     // re-trips the fault threshold forever, so keep
@@ -97,19 +67,22 @@ InferenceEngine::InferenceEngine(EngineConfig config,
                     .inc();
                 obs::recordInstant("runtime", "worker.restart",
                                    config_.traceRequests);
-                return factory_(id);
+                return factory_(slot);
             };
     }
 
+    const bool inline_mode = config_.numWorkers == 0;
     workers_.reserve(replicas.size());
-    for (int i = 0; i < config_.numWorkers; ++i)
+    for (int i = 0; i < count; ++i)
         workers_.push_back(std::make_unique<Worker>(
-            i, std::move(replicas[static_cast<size_t>(i)]), &queue_,
-            hooks));
-    for (auto &worker : workers_)
-        worker->start();
+            inline_mode ? -1 : i,
+            std::move(replicas[static_cast<size_t>(i)]), &queue_, hooks));
+    if (!inline_mode)
+        for (auto &worker : workers_)
+            worker->start();
     NEBULA_DEBUG("runtime", "engine up with ", config_.numWorkers,
-                 " workers, queue capacity ", config_.queueCapacity);
+                 " workers (0: inline), queue capacity ",
+                 config_.queueCapacity);
 }
 
 InferenceEngine::~InferenceEngine()
@@ -117,8 +90,8 @@ InferenceEngine::~InferenceEngine()
     shutdown();
 }
 
-void
-InferenceEngine::finalizeRequest(InferenceRequest &request)
+QueueItem
+InferenceEngine::makeItem(InferenceRequest request)
 {
     request.id = nextId_.fetch_add(1);
     if (request.timesteps == 0)
@@ -127,6 +100,15 @@ InferenceEngine::finalizeRequest(InferenceRequest &request)
         request.seed = seedFor(request.id);
     if (request.deadlineNs == 0)
         request.deadlineNs = config_.defaultDeadlineNs;
+    QueueItem item;
+    item.request = std::move(request);
+    item.enqueued = std::chrono::steady_clock::now();
+    if (item.request.deadlineNs > 0) {
+        item.hasDeadline = true;
+        item.deadline = item.enqueued +
+                        std::chrono::nanoseconds(item.request.deadlineNs);
+    }
+    return item;
 }
 
 std::future<InferenceResult>
@@ -137,19 +119,13 @@ InferenceEngine::submit(const Tensor &image)
     return submit(std::move(request));
 }
 
-std::future<InferenceResult>
-InferenceEngine::shedRequest(InferenceRequest request, const char *why)
+void
+InferenceEngine::shed(QueueItem &item, const char *why)
 {
     shed_.fetch_add(1);
     obs::MetricsRegistry::global().counter("runtime.shed").inc();
     obs::recordInstant("runtime", "request.shed", config_.traceRequests);
-    InferenceResult result;
-    result.id = request.id;
-    result.error = RuntimeErrorKind::Shed;
-    result.errorMessage = why;
-    std::promise<InferenceResult> promise;
-    promise.set_value(std::move(result));
-    return promise.get_future();
+    settleUnevaluated(item, RuntimeErrorKind::Shed, why);
 }
 
 bool
@@ -169,28 +145,19 @@ InferenceEngine::submit(InferenceRequest request)
 {
     if (!accepting_.load())
         throw EngineStoppedError("InferenceEngine is shut down");
-    finalizeRequest(request);
-
-    if (inlineReplica_)
-        return runInline(std::move(request));
-
-    // Admission control. Shed requests resolve immediately and are
-    // never counted in submitted_/completed_ -- they were refused, not
-    // accepted-then-failed.
-    if (config_.shedPolicy == ShedPolicy::DeadlineAware &&
-        request.deadlineNs > 0 && predictsDeadlineMiss(request))
-        return shedRequest(std::move(request),
-                           "predicted queue wait exceeds deadline");
-
-    QueueItem item;
-    item.request = std::move(request);
-    item.enqueued = std::chrono::steady_clock::now();
-    if (item.request.deadlineNs > 0) {
-        item.hasDeadline = true;
-        item.deadline = item.enqueued +
-                        std::chrono::nanoseconds(item.request.deadlineNs);
-    }
+    QueueItem item = makeItem(std::move(request));
     std::future<InferenceResult> future = item.promise.get_future();
+
+    // Admission control (inline mode has no queue and bypasses it).
+    // Shed requests resolve immediately and are never counted in
+    // submitted_/completed_ -- they were refused, not
+    // accepted-then-failed.
+    if (config_.numWorkers > 0 &&
+        config_.shedPolicy == ShedPolicy::DeadlineAware &&
+        item.request.deadlineNs > 0 && predictsDeadlineMiss(item.request)) {
+        shed(item, "predicted queue wait exceeds deadline");
+        return future;
+    }
 
     // Count *before* the push so the quiesce invariant holds: any item
     // a worker can possibly be evaluating is already reflected in
@@ -199,26 +166,18 @@ InferenceEngine::submit(InferenceRequest request)
     // paths below (shed / closed) roll the increment back -- refused
     // requests were never accepted, so they stay uncounted.
     submitted_.fetch_add(1);
+    if (config_.numWorkers == 0) {
+        workers_.front()->processItem(item);
+        return future;
+    }
     if (config_.shedPolicy == ShedPolicy::RejectWhenFull) {
         if (!queue_.tryPush(item)) {
             rollbackSubmitted();
-            if (queue_.closed()) {
-                InferenceResult result;
-                result.id = item.request.id;
-                result.error = RuntimeErrorKind::EngineStopped;
-                result.errorMessage = "engine shut down during admission";
-                item.promise.set_value(std::move(result));
-                return future;
-            }
-            shed_.fetch_add(1);
-            obs::MetricsRegistry::global().counter("runtime.shed").inc();
-            obs::recordInstant("runtime", "request.shed",
-                               config_.traceRequests);
-            InferenceResult result;
-            result.id = item.request.id;
-            result.error = RuntimeErrorKind::Shed;
-            result.errorMessage = "queue full";
-            item.promise.set_value(std::move(result));
+            if (queue_.closed())
+                settleUnevaluated(item, RuntimeErrorKind::EngineStopped,
+                                  "engine shut down during admission");
+            else
+                shed(item, "queue full");
             return future;
         }
     } else if (!queue_.push(std::move(item))) {
@@ -245,20 +204,7 @@ InferenceEngine::trySubmit(const Tensor &image,
 
     InferenceRequest request;
     request.image = image;
-    finalizeRequest(request);
-    if (inlineReplica_) {
-        out = runInline(std::move(request));
-        return true;
-    }
-
-    QueueItem item;
-    item.request = std::move(request);
-    item.enqueued = std::chrono::steady_clock::now();
-    if (item.request.deadlineNs > 0) {
-        item.hasDeadline = true;
-        item.deadline = item.enqueued +
-                        std::chrono::nanoseconds(item.request.deadlineNs);
-    }
+    QueueItem item = makeItem(std::move(request));
     std::future<InferenceResult> future = item.promise.get_future();
 
     // A refused trySubmit burns the id it drew: rolling the *id*
@@ -267,7 +213,9 @@ InferenceEngine::trySubmit(const Tensor &image,
     // see submit) and rolled back on refusal, which is safe because a
     // transiently inflated submitted_ only makes waitIdle conservative.
     submitted_.fetch_add(1);
-    if (!queue_.tryPush(item)) {
+    if (config_.numWorkers == 0) {
+        workers_.front()->processItem(item);
+    } else if (!queue_.tryPush(item)) {
         rollbackSubmitted();
         return false;
     }
@@ -283,155 +231,6 @@ InferenceEngine::submitBatch(const std::vector<Tensor> &images)
     for (const Tensor &image : images)
         futures.push_back(submit(image));
     return futures;
-}
-
-std::future<InferenceResult>
-InferenceEngine::runInline(InferenceRequest request)
-{
-    submitted_.fetch_add(1);
-    std::promise<InferenceResult> promise;
-    std::future<InferenceResult> future = promise.get_future();
-    const auto start = std::chrono::steady_clock::now();
-    obs::TraceSpan span("runtime", "request", config_.traceRequests,
-                        /*sampled_root=*/true);
-    span.arg("id", static_cast<double>(request.id));
-    obs::recordFlowStep("runtime", "request.flow", request.traceId,
-                        config_.traceRequests);
-
-    if (request.cancel && request.cancel->load(std::memory_order_acquire)) {
-        inlineStats_.scalar("cancelled").inc();
-        obs::MetricsRegistry::global().counter("runtime.cancelled").inc();
-        InferenceResult result;
-        result.id = request.id;
-        result.error = RuntimeErrorKind::Cancelled;
-        result.errorMessage = "request cancelled before evaluation";
-        promise.set_value(std::move(result));
-        noteCompleted(-1.0);
-        return future;
-    }
-
-    double service = -1.0;
-    bool violated = false;
-    try {
-        InferenceResult result = inlineReplica_->run(request);
-        // Inline-mode mirror of the worker's hedged re-execution: a
-        // flagged result is re-run once on the lazily built fallback
-        // before the promise settles (see Worker::handleViolation).
-        if (result.integrity.violations > 0 && result.ok()) {
-            violated = true;
-            inlineStats_.scalar("abft.violations").inc();
-            obs::MetricsRegistry::global()
-                .counter("abft.request_violations")
-                .inc();
-            obs::recordInstant("runtime", "abft.violation",
-                               config_.traceRequests);
-            if (config_.abft.reExecute && config_.abft.fallback) {
-                if (!inlineAbftFallback_)
-                    inlineAbftFallback_ = config_.abft.fallback(0);
-                if (inlineAbftFallback_) {
-                    try {
-                        InferenceResult redo =
-                            inlineAbftFallback_->run(request);
-                        // Keep the original's detection verdict (see
-                        // Worker::handleViolation).
-                        redo.integrity.checks += result.integrity.checks;
-                        redo.integrity.violations +=
-                            result.integrity.violations;
-                        redo.integrity.reExecuted = true;
-                        result = std::move(redo);
-                        inlineStats_.scalar("abft.reexecutions").inc();
-                        obs::MetricsRegistry::global()
-                            .counter("abft.reexecutions")
-                            .inc();
-                        obs::recordInstant("runtime", "abft.reexecute",
-                                           config_.traceRequests);
-                    } catch (...) {
-                        // Keep the flagged original; a faulting
-                        // fallback must not unseat a typed answer.
-                        obs::MetricsRegistry::global()
-                            .counter("abft.reexec_fault")
-                            .inc();
-                    }
-                }
-            }
-        }
-        const auto end = std::chrono::steady_clock::now();
-        result.id = request.id;
-        result.workerId = -1;
-        result.serviceSeconds =
-            std::chrono::duration<double>(end - start).count();
-        span.arg("service_ms", 1e3 * result.serviceSeconds);
-        const double service_ms = 1e3 * result.serviceSeconds;
-        inlineRequests_.inc();
-        inlineLatency_.sample(service_ms);
-        inlineService_.sample(service_ms);
-        inlineWait_.sample(0.0);
-        inlineLatencyHist_.sample(service_ms);
-        inlineServiceHist_.sample(service_ms);
-        inlineWaitHist_.sample(0.0);
-        inlineSpikes_.add(static_cast<double>(result.spikes));
-        service = result.serviceSeconds;
-        promise.set_value(std::move(result));
-    } catch (const std::exception &e) {
-        inlineStats_.scalar("failures").inc();
-        obs::MetricsRegistry::global().counter("runtime.replica_fault").inc();
-        obs::recordInstant("runtime", "request.failed",
-                           config_.traceRequests);
-        InferenceResult result;
-        result.id = request.id;
-        result.workerId = -1;
-        result.error = RuntimeErrorKind::ReplicaFault;
-        result.errorMessage = e.what();
-        promise.set_value(std::move(result));
-    } catch (...) {
-        inlineStats_.scalar("failures").inc();
-        obs::MetricsRegistry::global().counter("runtime.replica_fault").inc();
-        obs::recordInstant("runtime", "request.failed",
-                           config_.traceRequests);
-        InferenceResult result;
-        result.id = request.id;
-        result.workerId = -1;
-        result.error = RuntimeErrorKind::ReplicaFault;
-        result.errorMessage = "replica threw a non-std exception";
-        promise.set_value(std::move(result));
-    }
-
-    // A violation escalates the health probe immediately (promise
-    // already settled), mirroring the worker path: no waiting for the
-    // probeEvery cadence once detection has flagged the replica.
-    if (violated && config_.health && config_.health->config().enabled) {
-        try {
-            config_.health->probeNow(0, inlineReplica_);
-        } catch (...) {
-            inlineStats_.scalar("probe_failures").inc();
-            obs::MetricsRegistry::global()
-                .counter("health.probe_fault")
-                .inc();
-            obs::recordInstant("runtime", "health.probe_fault",
-                               config_.traceRequests);
-        }
-    }
-
-    // Probe after a successful request, with the promise already
-    // settled and outside the try/catch above: a throwing probe is
-    // absorbed and counted here -- re-entering the catch would call
-    // set_value on a satisfied promise and throw std::future_error at
-    // the submitter instead of returning the typed-result future.
-    if (service >= 0.0 && config_.health &&
-        config_.health->config().enabled) {
-        try {
-            config_.health->afterRequest(0, inlineReplica_);
-        } catch (...) {
-            inlineStats_.scalar("probe_failures").inc();
-            obs::MetricsRegistry::global()
-                .counter("health.probe_fault")
-                .inc();
-            obs::recordInstant("runtime", "health.probe_fault",
-                               config_.traceRequests);
-        }
-    }
-    noteCompleted(service);
-    return future;
 }
 
 void
@@ -504,11 +303,8 @@ InferenceEngine::shutdownNow()
     auto pending = queue_.drain();
     queue_.close();
     for (QueueItem &item : pending) {
-        InferenceResult result;
-        result.id = item.request.id;
-        result.error = RuntimeErrorKind::EngineStopped;
-        result.errorMessage = "request discarded: engine shut down";
-        item.promise.set_value(std::move(result));
+        settleUnevaluated(item, RuntimeErrorKind::EngineStopped,
+                          "request discarded: engine shut down");
         noteCompleted(-1.0);
     }
     waitIdle();
@@ -528,8 +324,6 @@ InferenceEngine::chipStats()
 {
     waitIdle();
     ChipStats total;
-    if (inlineReplica_ && inlineReplica_->chipStats())
-        total.merge(*inlineReplica_->chipStats());
     for (const auto &worker : workers_)
         if (const ChipStats *stats = worker->replica().chipStats())
             total.merge(*stats);
@@ -545,8 +339,6 @@ InferenceEngine::withReplicas(const std::function<void(ChipReplica &)> &fn)
     // thread a happens-before edge over each worker's last replica use.
     // The caller must not submit concurrently with this call.
     waitIdle();
-    if (inlineReplica_)
-        fn(*inlineReplica_);
     for (auto &worker : workers_)
         fn(*worker->replicaSlot());
 }
@@ -563,8 +355,6 @@ InferenceEngine::runtimeStats()
 {
     waitIdle();
     StatGroup group("runtime");
-    if (inlineReplica_)
-        group.merge(inlineStats_);
     for (const auto &worker : workers_) {
         group.merge(worker->stats());
         if (worker->stats().hasScalar("requests"))

@@ -13,9 +13,11 @@
  * (derived from the request id), and replicas are programmed from the
  * same prototype with the same chip seed, so each request's output is
  * bit-identical no matter how many workers serve the pool or in which
- * order requests complete. numWorkers == 0 selects an inline mode that
- * executes synchronously on the submitting thread -- the reference
- * against which the threaded modes are tested.
+ * order requests complete. numWorkers == 0 selects an inline mode: the
+ * engine owns one worker (id -1) that is never started and runs its
+ * processItem -- the same request lifecycle as a pool worker -- on the
+ * submitting thread, one submitting thread at a time. It is the
+ * reference against which the threaded modes are tested.
  *
  * Resilience: every returned future resolves to a typed terminal
  * outcome (InferenceResult::error) -- ok, Timeout, Shed, EngineStopped,
@@ -58,8 +60,8 @@ class InferenceEngine
 {
   public:
     /**
-     * Build the pool: @p factory is invoked once per worker (or once
-     * total in inline mode) and must produce identically-programmed
+     * Build the pool: @p factory is invoked once per worker (once, with
+     * id 0, in inline mode) and must produce identically-programmed
      * replicas for the determinism guarantee to hold. The engine keeps
      * a copy of @p factory for supervisor restarts.
      */
@@ -169,7 +171,7 @@ class InferenceEngine
     }
 
     size_t queueDepth() const { return queue_.size(); }
-    int numWorkers() const { return static_cast<int>(workers_.size()); }
+    int numWorkers() const { return config_.numWorkers; }
     const EngineConfig &config() const { return config_; }
 
     /** Requests refused at admission (typed Shed outcomes). */
@@ -195,17 +197,16 @@ class InferenceEngine
     }
 
   private:
-    /** Assign id/seed/timesteps/deadline defaults to a request. */
-    void finalizeRequest(InferenceRequest &request);
+    /**
+     * Assign id/seed/timesteps/deadline defaults to @p request and wrap
+     * it, stamped now, in the item a worker's processItem consumes.
+     */
+    QueueItem makeItem(InferenceRequest request);
 
-    /** Execute a request synchronously on the inline replica. */
-    std::future<InferenceResult> runInline(InferenceRequest request);
+    /** Settle @p item at admission with a typed Shed outcome. */
+    void shed(QueueItem &item, const char *why);
 
-    /** Resolve a future immediately with a typed Shed outcome. */
-    std::future<InferenceResult> shedRequest(InferenceRequest request,
-                                             const char *why);
-
-    /** Completion callback shared by workers and inline mode. */
+    /** Completion callback of every worker, inline included. */
     void noteCompleted(double service_seconds);
 
     /**
@@ -225,26 +226,8 @@ class InferenceEngine
     EngineConfig config_;
     ReplicaFactory factory_; //!< kept for supervisor restarts
     BoundedQueue<QueueItem> queue_;
+    /** The pool, or in inline mode one never-started worker (id -1). */
     std::vector<std::unique_ptr<Worker>> workers_;
-    std::unique_ptr<ChipReplica> inlineReplica_; //!< numWorkers == 0
-    StatGroup inlineStats_{"inline"};
-
-    /**
-     * Cached references into inlineStats_ for the per-request inline
-     * path, bound once in the constructor as Worker binds its own
-     * (std::map nodes are stable).
-     */
-    ScalarStat &inlineRequests_;
-    ScalarStat &inlineLatency_;
-    ScalarStat &inlineService_;
-    ScalarStat &inlineWait_;
-    ScalarStat &inlineSpikes_;
-    Histogram &inlineLatencyHist_;
-    Histogram &inlineServiceHist_;
-    Histogram &inlineWaitHist_;
-
-    /** Lazily built ABFT re-execution fallback for inline mode. */
-    std::unique_ptr<ChipReplica> inlineAbftFallback_;
 
     std::atomic<uint64_t> nextId_{0};
     std::atomic<uint64_t> submitted_{0};

@@ -23,6 +23,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "arch/energy_breakdown.hpp"
 #include "nn/tensor.hpp"
@@ -128,6 +129,24 @@ struct QueueItem
     std::chrono::steady_clock::time_point deadline; //!< absolute form
     bool hasDeadline = false;
 };
+
+/**
+ * Settle @p item with a typed terminal outcome that carries no logits
+ * (shed, stopped, timed out, cancelled or faulted): the one builder
+ * behind every non-evaluated result of the engine and its workers.
+ */
+inline void
+settleUnevaluated(QueueItem &item, RuntimeErrorKind kind, std::string message,
+                  int worker_id = -1, double wait_seconds = 0.0)
+{
+    InferenceResult result;
+    result.id = item.request.id;
+    result.workerId = worker_id;
+    result.queueSeconds = wait_seconds;
+    result.error = kind;
+    result.errorMessage = std::move(message);
+    item.promise.set_value(std::move(result));
+}
 
 /**
  * Deterministic per-request seed derivation (SplitMix64 finalizer over

@@ -26,6 +26,19 @@ constexpr double kLatencyLoMs = 0.0;
 constexpr double kLatencyHiMs = 250.0;
 constexpr int kLatencyBuckets = 500;
 
+/** Message of a replica fault, whether or not it is a std::exception. */
+std::string
+faultMessage(const std::exception_ptr &fault)
+{
+    try {
+        std::rethrow_exception(fault);
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "replica threw a non-std exception";
+    }
+}
+
 } // namespace
 
 Worker::Worker(int id, std::unique_ptr<ChipReplica> replica,
@@ -60,19 +73,6 @@ Worker::join()
 }
 
 void
-Worker::shedItem(QueueItem &item, RuntimeErrorKind kind,
-                 std::string message, double wait_seconds)
-{
-    InferenceResult result;
-    result.id = item.request.id;
-    result.workerId = id_;
-    result.queueSeconds = wait_seconds;
-    result.error = kind;
-    result.errorMessage = std::move(message);
-    item.promise.set_value(std::move(result));
-}
-
-void
 Worker::loop()
 {
     obs::setThreadName("worker" + std::to_string(id_));
@@ -98,8 +98,8 @@ Worker::processItem(QueueItem &item)
         obs::MetricsRegistry::global().counter("runtime.cancelled").inc();
         obs::recordInstant("runtime", "request.cancelled",
                            hooks_.traceRequests);
-        shedItem(item, RuntimeErrorKind::Cancelled,
-                 "request cancelled before evaluation", wait);
+        settleUnevaluated(item, RuntimeErrorKind::Cancelled,
+                          "request cancelled before evaluation", id_, wait);
         hooks_.onComplete(-1.0);
         return;
     }
@@ -108,8 +108,8 @@ Worker::processItem(QueueItem &item)
         obs::MetricsRegistry::global().counter("runtime.timeout").inc();
         obs::recordInstant("runtime", "request.timeout",
                            hooks_.traceRequests);
-        shedItem(item, RuntimeErrorKind::Timeout,
-                 "deadline expired in queue", wait);
+        settleUnevaluated(item, RuntimeErrorKind::Timeout,
+                          "deadline expired in queue", id_, wait);
         hooks_.onComplete(-1.0);
         return;
     }
@@ -163,15 +163,6 @@ Worker::processItem(QueueItem &item)
 
         item.promise.set_value(std::move(result));
         consecutiveFaults_ = 0;
-    } catch (const std::exception &e) {
-        stats_.scalar("failures").inc();
-        obs::MetricsRegistry::global()
-            .counter("runtime.replica_fault")
-            .inc();
-        obs::recordInstant("runtime", "request.failed",
-                           hooks_.traceRequests);
-        shedItem(item, RuntimeErrorKind::ReplicaFault, e.what(), wait);
-        ++consecutiveFaults_;
     } catch (...) {
         stats_.scalar("failures").inc();
         obs::MetricsRegistry::global()
@@ -179,8 +170,8 @@ Worker::processItem(QueueItem &item)
             .inc();
         obs::recordInstant("runtime", "request.failed",
                            hooks_.traceRequests);
-        shedItem(item, RuntimeErrorKind::ReplicaFault,
-                 "replica threw a non-std exception", wait);
+        settleUnevaluated(item, RuntimeErrorKind::ReplicaFault,
+                          faultMessage(std::current_exception()), id_, wait);
         ++consecutiveFaults_;
     }
 
@@ -199,10 +190,11 @@ Worker::processItem(QueueItem &item)
     // OUTSIDE the request's try block: the promise above is already
     // satisfied, so a throwing probe must be absorbed here -- it is
     // accounted as a fault (feeding the supervisor) and must never
-    // reach shedItem, which would set the promise a second time.
+    // reach settleUnevaluated, which would set the promise a second
+    // time.
     if (service >= 0.0 && hooks_.health) {
         try {
-            hooks_.health->afterRequest(id_, replica_);
+            hooks_.health->afterRequest(slot(), replica_);
         } catch (...) {
             stats_.scalar("probe_failures").inc();
             obs::MetricsRegistry::global()
@@ -237,7 +229,7 @@ Worker::handleViolation(const QueueItem &item, InferenceResult &result)
         std::chrono::steady_clock::now() > item.deadline)
         return false;
     if (!abftFallback_) {
-        abftFallback_ = hooks_.abftFallback(id_);
+        abftFallback_ = hooks_.abftFallback(slot());
         if (!abftFallback_)
             return false;
     }
@@ -272,7 +264,7 @@ Worker::escalateHealthProbe()
     if (!hooks_.health)
         return;
     try {
-        hooks_.health->probeNow(id_, replica_);
+        hooks_.health->probeNow(slot(), replica_);
     } catch (...) {
         stats_.scalar("probe_failures").inc();
         obs::MetricsRegistry::global().counter("health.probe_fault").inc();
@@ -290,7 +282,7 @@ Worker::maybeRestartReplica()
         NEBULA_DEBUG("runtime", "worker", id_, " restarting after ",
                      consecutiveFaults_, " consecutive faults");
         stats_.scalar("restarts").inc();
-        replica_ = hooks_.superviseRestart(id_, std::move(replica_));
+        replica_ = hooks_.superviseRestart(slot(), std::move(replica_));
         NEBULA_ASSERT(replica_, "supervisor returned null replica");
         consecutiveFaults_ = 0;
     }

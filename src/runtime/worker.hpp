@@ -14,11 +14,16 @@
  * repeatedly is quarantined and replaced by the supervisor hook; the
  * optional health monitor probes the replica between requests and may
  * swap it too (repair / demotion).
+ *
+ * The engine's inline mode (numWorkers == 0) owns one Worker with id -1
+ * that is never started: it calls processItem on the submitting thread,
+ * so inline requests run this same lifecycle without a queue hop.
  */
 
 #ifndef NEBULA_RUNTIME_WORKER_HPP
 #define NEBULA_RUNTIME_WORKER_HPP
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -36,7 +41,7 @@ class HealthMonitor;
 struct WorkerHooks
 {
     /**
-     * Fired after each popped request has been fully accounted (promise
+     * Fired after each processed request has been fully accounted (promise
      * fulfilled, worker-local stats written, health probe done).
      * @p service_seconds is the replica evaluation time, or a negative
      * value when the request was shed without evaluation (timeout /
@@ -45,17 +50,17 @@ struct WorkerHooks
     std::function<void(double service_seconds)> onComplete;
 
     /**
-     * Supervisor restart: called from the worker thread after
+     * Supervisor restart: called from processItem's thread after
      * maxConsecutiveFaults consecutive ReplicaFault outcomes with the
      * poisoned replica; returns its freshly programmed replacement
      * (typically a new clone from the engine's factory, with the old
      * one quarantined for inspection). Null: no supervision.
      */
     std::function<std::unique_ptr<ChipReplica>(
-        int worker_id, std::unique_ptr<ChipReplica> old)>
+        int slot, std::unique_ptr<ChipReplica> old)>
         superviseRestart;
 
-    /** Closed-loop health monitor (slot = worker id); null: off. */
+    /** Closed-loop health monitor (slot = Worker::slot()); null: off. */
     HealthMonitor *health = nullptr;
 
     /** Consecutive-fault threshold for superviseRestart (0: off). */
@@ -83,7 +88,8 @@ class Worker
 {
   public:
     /**
-     * @param id       0-based worker id (doubles as the health slot).
+     * @param id       0-based worker id, or -1 for the engine's inline
+     *                 worker (see slot()).
      * @param replica  Private chip replica (takes ownership).
      * @param queue    Shared request queue (not owned).
      * @param hooks    Engine callbacks / resilience knobs.
@@ -103,6 +109,19 @@ class Worker
     int id() const { return id_; }
 
     /**
+     * Health slot and factory id of this worker's replica: the worker
+     * id, or 0 for the inline worker (id -1).
+     */
+    int slot() const { return std::max(id_, 0); }
+
+    /**
+     * Evaluate (or shed) one request and settle its promise. The worker
+     * thread calls it for every popped item; the engine's inline mode
+     * calls it on the submitting thread of a never-started worker.
+     */
+    void processItem(QueueItem &item);
+
+    /**
      * Worker-local request statistics. Safe to read only while the
      * worker is quiescent (engine guarantees this via waitIdle).
      */
@@ -119,9 +138,6 @@ class Worker
   private:
     void loop();
 
-    /** Evaluate (or shed) one dequeued request and settle its promise. */
-    void processItem(QueueItem &item);
-
     /** Supervisor restart once maxConsecutiveFaults is reached. */
     void maybeRestartReplica();
 
@@ -137,10 +153,6 @@ class Worker
 
     /** Immediate health probe of this slot (after promise settle). */
     void escalateHealthProbe();
-
-    /** Fulfil @p item with a typed non-evaluated terminal outcome. */
-    void shedItem(QueueItem &item, RuntimeErrorKind kind,
-                  std::string message, double wait_seconds);
 
     int id_;
     std::unique_ptr<ChipReplica> replica_;

@@ -207,8 +207,12 @@ readTensor(ByteReader &r, Tensor &out)
     uint8_t rank;
     if (!r.u8(rank) || rank > kMaxTensorRank)
         return false;
+    if (rank == 0) {
+        out = Tensor(); // no payload: empty, not Tensor({}) of size 1
+        return true;
+    }
     std::vector<int> shape(rank);
-    long long total = rank > 0 ? 1 : 0;
+    long long total = 1;
     for (uint8_t i = 0; i < rank; ++i) {
         int32_t d;
         if (!r.i32(d) || d < 1 || d > kMaxTensorDim)

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -125,6 +126,21 @@ bitIdentical(const Tensor &a, const Tensor &b)
         if (a[i] != b[i])
             return false;
     return true;
+}
+
+/**
+ * Request conservation: every completed request ended in exactly one of
+ * the worker outcomes (evaluated, faulted, timed out, cancelled).
+ */
+void
+expectRequestsConserved(InferenceEngine &engine)
+{
+    const StatGroup stats = engine.runtimeStats();
+    double outcomes = 0.0;
+    for (const char *name : {"requests", "failures", "timeouts", "cancelled"})
+        if (stats.hasScalar(name))
+            outcomes += stats.scalarAt(name).sum();
+    EXPECT_EQ(static_cast<double>(engine.completed()), outcomes);
 }
 
 // ---------------------------------------------------------------------------
@@ -599,31 +615,39 @@ TEST(Resilience, ChaosLoadResolvesEveryFutureToTypedOutcome)
     EXPECT_EQ(engine.quarantinedCount(),
               std::min(static_cast<size_t>(engine.workerRestarts()),
                        engine.config().quarantineCapacity));
+    expectRequestsConserved(engine);
 }
 
 TEST(Resilience, QuarantineRetentionIsCapped)
 {
     Prototypes &p = protos();
 
-    EngineConfig cfg;
-    cfg.numWorkers = 1;
-    cfg.maxConsecutiveFaults = 1; // restart after every fault
-    cfg.quarantineCapacity = 2;
-    auto base = makeAnnReplicaFactory(p.quantNet, p.quant);
-    InferenceEngine engine(cfg, [&](int id) {
-        return std::make_unique<PoisonedReplica>(base(id), /*healthy=*/0);
-    });
+    // One pool worker, then inline mode: both run the same supervised
+    // request lifecycle.
+    for (const int workers : {1, 0}) {
+        SCOPED_TRACE("numWorkers " + std::to_string(workers));
+        EngineConfig cfg;
+        cfg.numWorkers = workers;
+        cfg.maxConsecutiveFaults = 1; // restart after every fault
+        cfg.quarantineCapacity = 2;
+        auto base = makeAnnReplicaFactory(p.quantNet, p.quant);
+        InferenceEngine engine(cfg, [&](int id) {
+            return std::make_unique<PoisonedReplica>(base(id),
+                                                     /*healthy=*/0);
+        });
 
-    // Every request faults and every fault restarts the worker, the
-    // pathological case where an unbounded quarantine would retain one
-    // poisoned replica per request forever.
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(engine.submit(p.data.image(i)).get().error,
-                  RuntimeErrorKind::ReplicaFault);
-    engine.waitIdle();
-    EXPECT_EQ(engine.workerRestarts(), 5u);
-    EXPECT_EQ(engine.quarantinedCount(), 2u);
-    engine.shutdown();
+        // Every request faults and every fault restarts the worker, the
+        // pathological case where an unbounded quarantine would retain
+        // one poisoned replica per request forever.
+        for (int i = 0; i < 5; ++i)
+            EXPECT_EQ(engine.submit(p.data.image(i)).get().error,
+                      RuntimeErrorKind::ReplicaFault);
+        engine.waitIdle();
+        EXPECT_EQ(engine.workerRestarts(), 5u);
+        EXPECT_EQ(engine.quarantinedCount(), 2u);
+        expectRequestsConserved(engine);
+        engine.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -902,8 +926,9 @@ TEST(Health, ThrowingProbeNeverTouchesTheSettledPromise)
 }
 
 // Same hazard on the inline (numWorkers == 0) path: a throwing probe
-// used to land in runInline's catch block, whose second set_value threw
-// std::future_error at the submitter instead of returning the future.
+// used to land in the inline path's catch block, whose second
+// set_value threw std::future_error at the submitter instead of
+// returning the future.
 TEST(Health, ThrowingProbeInlineStillReturnsTypedResults)
 {
     Prototypes &p = protos();

@@ -404,18 +404,15 @@ frameBody(const std::vector<uint8_t> &frame)
     return {frame.data() + offset, header.bodyLen};
 }
 
-/** Same rank, dims and float bits. A decoded rank-0 tensor is checked
- *  for rank only: rank 0 carries no payload on the wire. */
+/** Same rank, dims, size and float bits (rank 0 included). */
 bool
 sameTensorBits(const Tensor &decoded, const Tensor &sent)
 {
-    if (decoded.rank() != sent.rank())
-        return false;
-    if (sent.rank() == 0)
-        return true;
     return decoded.shape() == sent.shape() &&
-           std::memcmp(decoded.data(), sent.data(),
-                       4 * static_cast<size_t>(sent.size())) == 0;
+           decoded.size() == sent.size() &&
+           (sent.size() == 0 ||
+            std::memcmp(decoded.data(), sent.data(),
+                        4 * static_cast<size_t>(sent.size())) == 0);
 }
 
 TEST(WireCompat, BulkTensorCodecIsByteIdentical)
