@@ -27,6 +27,9 @@
 #include <vector>
 
 #include "arch/chip.hpp"
+#include "nn/activations.hpp"
+#include "nn/conv.hpp"
+#include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "nn/quantize.hpp"
 #include "runtime/request.hpp"
@@ -279,6 +282,68 @@ TEST(Golden, ConvSnnOnChip)
     }
     addStats(g, chip.stats());
     checkGolden("conv_snn.txt", g);
+}
+
+/**
+ * Conv(1->20) + ReLU -> depthwise 3x3 stride 2 + ReLU -> Flatten ->
+ * Linear(500, 10) at 10 px. With 20 channels and 128-row arrays the
+ * depthwise layer packs 14 kernels per crossbar: two diagonal groups.
+ */
+Network
+buildDwNet(uint64_t seed)
+{
+    Rng rng(seed);
+    Network net("dwnet");
+    net.add<Conv2d>(1, 20, 3, 1, 1)->initKaiming(rng);
+    net.add<Relu>();
+    net.add<DwConv2d>(20, 3, 2, 1)->initKaiming(rng);
+    net.add<Relu>();
+    net.add<Flatten>();
+    net.add<Linear>(500, kClasses)->initKaiming(rng);
+    return net;
+}
+
+TEST(Golden, DwConvOnChip)
+{
+    // Depthwise conv on both chip paths with ABFT on: ANN rows through
+    // the neuron units, SNN windows driven by IF spikes.
+    SyntheticDigits data(16, kImageSize, /*seed=*/61);
+    NebulaConfig config;
+    config.abft = true;
+    Golden g;
+
+    Network ann = buildDwNet(/*seed=*/67);
+    const QuantizationResult quant =
+        quantizeNetwork(ann, data.firstImages(12));
+    NebulaChip ann_chip(config);
+    ann_chip.programAnn(ann, quant);
+    for (int i = 0; i < 2; ++i) {
+        const Tensor logits = ann_chip.runAnn(data.image(i));
+        const std::string p = "ann.image" + std::to_string(i) + ".";
+        addTensor(g, p + "logit", logits);
+        addInt(g, p + "class", logits.argmaxRow(0));
+    }
+    addStats(g, ann_chip.stats());
+
+    Network net = buildDwNet(/*seed=*/67);
+    SpikingModel model = convertToSnn(net, data.firstImages(12));
+    NebulaChip snn_chip(config);
+    snn_chip.programSnn(model);
+    for (int i = 0; i < 2; ++i) {
+        const uint64_t seed =
+            deriveRequestSeed(kSeedSalt, 300 + static_cast<uint64_t>(i));
+        const SnnRunResult r =
+            snn_chip.runSnn(data.image(i), kTimesteps, seed);
+        const std::string p = "snn.image" + std::to_string(i) + ".";
+        addInt(g, p + "total_spikes", r.totalSpikes);
+        for (size_t k = 0; k < r.ifSpikes.size(); ++k)
+            addInt(g, p + "if" + std::to_string(k) + ".spikes",
+                   r.ifSpikes[k]);
+        addTensor(g, p + "logit", r.logits);
+        addInt(g, p + "class", r.predictedClass());
+    }
+    addStats(g, snn_chip.stats());
+    checkGolden("dwconv.txt", g);
 }
 
 TEST(Golden, HybridAccumulatorSums)
