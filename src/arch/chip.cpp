@@ -1,6 +1,7 @@
 #include "arch/chip.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "arch/pipeline.hpp"
@@ -50,19 +51,14 @@ publishMappingMetrics(const char *mode, const NebulaConfig &config,
                  mapping.totalAcs(), " crossbars");
 }
 
-/**
- * Reconstruct real-unit pre-activations from one column group's
- * normalized sums: out[j] = currents[j] / kappa * scale + bias[j].
- * The division by kappa is kept a division (not a reciprocal multiply)
- * so the result stays bit-identical to evaluateLayer()'s binary emit.
- */
-NEBULA_TARGET_CLONES void
-emitAffine(float *out, const float *bias, const double *currents, int n,
-           double kappa, double scale)
+/** @p image with a leading batch dimension of 1. */
+Tensor
+withBatchDim(const Tensor &image)
 {
-    for (int j = 0; j < n; ++j)
-        out[j] =
-            static_cast<float>(currents[j] / kappa * scale + bias[j]);
+    std::vector<int> shape{1};
+    for (int d = 0; d < image.rank(); ++d)
+        shape.push_back(image.dim(d));
+    return image.reshaped(shape);
 }
 
 /**
@@ -168,7 +164,7 @@ NebulaChip::updateMappedLayer(int k,
     NEBULA_ASSERT(layer.dwKernelsPerAc == 0,
                   "incremental updates not supported for diagonal-packed "
                   "depthwise layers");
-    obs::TraceSpan span("learning", "layer.update", config_.traceChip);
+    obs::TraceSpan span("learning", "layer.update");
     span.arg("layer", static_cast<double>(layer.map.layerIndex));
 
     const int m = config_.atomicSize;
@@ -201,13 +197,8 @@ NebulaChip::updateMappedLayer(int k,
         report.merge(layer.groups[g]->updateCells(per_group[g], config));
     }
 
-    // Bias lives in the digital periphery: re-sync it from the source
-    // network so host-side bias learning takes effect pulse-free.
-    const auto params = layer.source->constParameters();
-    if (params.size() > 1) {
-        const Tensor &b = *params[1];
-        layer.bias.assign(b.data(), b.data() + b.size());
-    }
+    // Host-side bias learning takes effect pulse-free.
+    layer.syncBias();
 
     updateReport_.merge(report);
     auto &registry = obs::MetricsRegistry::global();
@@ -239,14 +230,7 @@ NebulaChip::mapWeightLayer(const Layer &layer, int index,
     xp.abft = config_.abft;
 
     const int m = config_.atomicSize;
-    const auto params = layer.constParameters();
-    const Tensor &w = *params[0];
-    if (params.size() > 1) {
-        const Tensor &b = *params[1];
-        mapped.bias.assign(b.data(), b.data() + b.size());
-    } else {
-        mapped.bias.assign(static_cast<size_t>(layer.numKernels()), 0.0f);
-    }
+    const Tensor &w = *layer.constParameters()[0];
 
     const int rf = layer.receptiveField();
     const int kernels = layer.numKernels();
@@ -255,6 +239,7 @@ NebulaChip::mapWeightLayer(const Layer &layer, int index,
         // Diagonal packing: kpa kernels per crossbar, disjoint row blocks.
         const int kpa = std::max(1, m / rf);
         mapped.dwKernelsPerAc = kpa;
+        mapped.groupKernels = kpa;
         const int groups = (kernels + kpa - 1) / kpa;
         for (int g = 0; g < groups; ++g) {
             const int local = std::min(kpa, kernels - g * kpa);
@@ -275,6 +260,7 @@ NebulaChip::mapWeightLayer(const Layer &layer, int index,
             mapped.groups.push_back(std::move(xbar));
         }
     } else {
+        mapped.groupKernels = m;
         const int groups = (kernels + m - 1) / m;
         for (int g = 0; g < groups; ++g) {
             const int local = std::min(m, kernels - g * m);
@@ -291,78 +277,148 @@ NebulaChip::mapWeightLayer(const Layer &layer, int index,
             mapped.groups.push_back(std::move(xbar));
         }
     }
+    mapped.syncBias();
     return mapped;
 }
 
 void
-NebulaChip::programAnn(Network &net, const QuantizationResult &quant)
+NebulaChip::MappedLayer::syncBias()
 {
-    annNet_ = &net;
-    snnModel_ = nullptr;
+    const auto params = source->constParameters();
+    if (params.size() > 1)
+        bias.assign(params[1]->data(), params[1]->data() + params[1]->size());
+    else
+        bias.assign(static_cast<size_t>(source->numKernels()), 0.0f);
+    biasDrive.assign(hasActivation ? groups.size() : 0, {});
+    for (size_t g = 0; g < biasDrive.size(); ++g) {
+        const double kappa = groups[g]->currentScale();
+        const float *b = bias.data() + g * static_cast<size_t>(groupKernels);
+        for (int j = 0; j < groups[g]->cols(); ++j)
+            biasDrive[g].push_back(kappa * b[j] /
+                                   (weightScale * inputCeiling));
+    }
+}
+
+void
+NebulaChip::resetProgram(Network &net, Mode mode)
+{
     layers_.clear();
-    snn_ = SnnProgram();
+    prog_ = Program();
+    prog_.mode = mode;
     mapping_ = mapper_.map(net);
     clearStats();
     programReport_ = ProgramReport();
     updateReport_ = UpdateReport();
     crossbarIndex_ = 0;
+}
 
-    for (const LayerQuantInfo &info : quant.layers) {
-        Layer &layer = net.layer(info.layerIndex);
-        MappedLayer mapped = mapWeightLayer(layer, info.layerIndex,
-                                            info.weightMax, Mode::ANN);
-        mapped.inputCeiling = info.actCeiling;
+void
+NebulaChip::programAnn(Network &net, const QuantizationResult &quant)
+{
+    snnModel_ = nullptr;
+    resetProgram(net, Mode::ANN);
 
-        // Output ceiling: the next ClippedRelu before another weight
-        // layer, if any.
-        for (int j = info.layerIndex + 1; j < net.numLayers(); ++j) {
-            if (net.layer(j).isWeightLayer())
-                break;
-            NEBULA_ASSERT(net.layer(j).kind() != LayerKind::Relu,
-                          "programAnn requires a quantized network");
-            if (net.layer(j).kind() == LayerKind::ClippedRelu) {
-                mapped.outputCeiling =
-                    static_cast<ClippedRelu &>(net.layer(j)).ceiling();
-                mapped.hasActivation = true;
-                break;
+    auto info = quant.layers.begin();
+    for (int i = 0; i < net.numLayers(); ++i) {
+        Layer &layer = net.layer(i);
+        if (layer.kind() == LayerKind::ClippedRelu)
+            continue; // applied by the preceding layer's neuron units
+        Stage stage;
+        stage.layer = &layer;
+        if (layer.isWeightLayer()) {
+            NEBULA_ASSERT(info != quant.layers.end() && info->layerIndex == i,
+                          "unmapped weight layer");
+            MappedLayer mapped =
+                mapWeightLayer(layer, i, info->weightMax, Mode::ANN);
+            mapped.inputCeiling = info->actCeiling;
+            ++info;
+
+            // Output ceiling: the next ClippedRelu before another weight
+            // layer, if any.
+            for (int j = i + 1; j < net.numLayers(); ++j) {
+                if (net.layer(j).isWeightLayer())
+                    break;
+                NEBULA_ASSERT(net.layer(j).kind() != LayerKind::Relu,
+                              "programAnn requires a quantized network");
+                if (net.layer(j).kind() == LayerKind::ClippedRelu) {
+                    mapped.outputCeiling =
+                        static_cast<ClippedRelu &>(net.layer(j)).ceiling();
+                    mapped.hasActivation = true;
+                    break;
+                }
             }
-        }
 
-        // One saturating-ReLU neuron unit per column group.
-        if (mapped.hasActivation) {
-            const double ceiling_alg =
-                mapped.outputCeiling /
-                (mapped.weightScale * mapped.inputCeiling);
-            for (auto &group : mapped.groups) {
-                NeuronUnitParams np;
-                np.count = group->cols();
-                np.levels = 1 << config_.precisionBits;
-                np.window = config_.cycleTime;
-                auto nu = std::make_unique<ReluNeuronUnit>(np);
-                nu->calibrate(group->currentScale(), ceiling_alg);
-                mapped.nus.push_back(std::move(nu));
+            // One saturating-ReLU neuron unit per column group.
+            if (mapped.hasActivation) {
+                const double ceiling_alg =
+                    mapped.outputCeiling /
+                    (mapped.weightScale * mapped.inputCeiling);
+                for (auto &group : mapped.groups) {
+                    NeuronUnitParams np;
+                    np.count = group->cols();
+                    np.levels = 1 << config_.precisionBits;
+                    np.window = config_.cycleTime;
+                    auto nu = std::make_unique<ReluNeuronUnit>(np);
+                    nu->calibrate(group->currentScale(), ceiling_alg);
+                    mapped.nus.push_back(std::move(nu));
+                }
+                mapped.syncBias();
             }
+            layers_.push_back(std::move(mapped));
+            stage.kind = Stage::Kind::Mapped;
+            stage.mapped = layers_.size() - 1;
         }
-        layers_.push_back(std::move(mapped));
+        prog_.stages.push_back(std::move(stage));
     }
     publishMappingMetrics("ann", config_, mapping_);
+}
+
+NEBULA_TARGET_CLONES void
+NebulaChip::emitGroup(MappedLayer &layer, size_t g, double *currents,
+                      int batch, float *out, size_t stride)
+{
+    const CrossbarArray &xbar = *layer.groups[g];
+    const int cols = xbar.cols();
+    const size_t offset = g * static_cast<size_t>(layer.groupKernels);
+    out += offset * stride;
+    if (layer.hasActivation) {
+        const double *bias_cur = layer.biasDrive[g].data();
+        const float step = layer.outputCeiling / (mappedLevels() - 1);
+        std::vector<int> &codes = prog_.codes;
+        codes.resize(static_cast<size_t>(cols));
+        for (int b = 0; b < batch; ++b, currents += cols) {
+            for (int j = 0; j < cols; ++j)
+                currents[j] += bias_cur[j];
+            layer.nus[g]->evaluateInto(currents, cols, codes.data());
+            for (int j = 0; j < cols; ++j)
+                out[j * stride + b] = codes[static_cast<size_t>(j)] * step;
+        }
+        return;
+    }
+    // The division by kappa stays a division, and an input ceiling of 1
+    // (spike drivers) multiplies exactly, so every caller rounds alike.
+    const double kappa = xbar.currentScale();
+    const float *bias = layer.bias.data() + offset;
+    for (int b = 0; b < batch; ++b, currents += cols)
+        for (int j = 0; j < cols; ++j)
+            out[j * stride + b] = static_cast<float>(
+                currents[j] / kappa * layer.weightScale * layer.inputCeiling +
+                bias[j]);
 }
 
 Tensor
 NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
                           bool binary)
 {
-    obs::TraceSpan span("chip", "layer.eval", config_.traceChip);
+    obs::TraceSpan span("chip", "layer.eval");
     span.arg("layer", static_cast<double>(layer.map.layerIndex));
     const long long evals_before = stats_.crossbarEvals;
 
     const Layer &src = *layer.source;
     const DacDriver dac(config_.precisionBits, 0.75);
-    const float in_ceiling = binary ? 1.0f : layer.inputCeiling;
-    const int levels = 1 << config_.precisionBits;
-    const float step = layer.hasActivation
-                           ? layer.outputCeiling / (levels - 1)
-                           : 0.0f;
+    const float in_ceiling = layer.inputCeiling;
+    const int levels = mappedLevels();
+    const size_t groups = layer.groups.size();
 
     // DAC code -> voltage-factor table: the second half of the
     // normalize chain depends only on the 4-bit code, so the divide is
@@ -370,28 +426,6 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
     std::vector<double> dac_out(static_cast<size_t>(levels));
     for (int c = 0; c < levels; ++c)
         dac_out[static_cast<size_t>(c)] = dac.normalizedOutput(c);
-
-    // Per-column periphery bias drive, window-invariant: hoisted so the
-    // divide runs once per column per layer instead of once per column
-    // per window (the expression is kept verbatim, so injected values
-    // are bit-identical).
-    std::vector<std::vector<double>> bias_drive(layer.groups.size());
-    auto biasDrive = [&](size_t g, int group_offset,
-                         double kappa) -> const double * {
-        auto &bd = bias_drive[g];
-        if (bd.empty()) {
-            const int cols = layer.groups[g]->cols();
-            bd.resize(static_cast<size_t>(cols));
-            for (int j = 0; j < cols; ++j)
-                bd[static_cast<size_t>(j)] =
-                    kappa *
-                    layer.bias[static_cast<size_t>(group_offset + j)] /
-                    (layer.weightScale * in_ceiling);
-        }
-        return bd.data();
-    };
-    // Output-level scratch shared by every neuron-unit call this layer.
-    std::vector<int> codes;
 
     // A conv input element is gathered into up to k*k overlapping
     // windows, so the clamp + DAC quantization runs once per element.
@@ -406,7 +440,6 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
             x = dac_out[static_cast<size_t>(dac.quantize(x))];
         norm[static_cast<size_t>(i) + 1] = x;
     }
-    auto normAt = [&](long long i) { return in[i]; };
 
     /**
      * Collect the ascending active-row list of a spike window for the
@@ -427,101 +460,44 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
         return true;
     };
 
+    // Output distance between kernels: 1, or the plane of a conv.
+    size_t out_stride = 1;
     /**
-     * Evaluate one column group for one input window and emit
-     * (kernel, value) pairs. With a following activation the column
-     * currents (plus the periphery bias injection) pass through the
-     * group's saturating-ReLU neuron unit; otherwise the raw weighted
-     * sum is reconstructed in real units for the ADC/RU path.
+     * Evaluate column group @p g on one input window (driven by the
+     * @p active rows when given) and emit its outputs into
+     * out[k * out_stride] for each of its kernels k.
      */
-    auto evalGroup = [&](size_t g, int group_offset, bool use_nu,
-                         const std::vector<double> &window,
-                         const SpikeVector *active, auto &&emit) {
+    auto evalGroup = [&](size_t g, const std::vector<double> &window,
+                         const SpikeVector *active, float *out) {
         CrossbarArray &xbar = *layer.groups[g];
-        auto eval = active != nullptr
-                        ? xbar.evaluateSparse(*active, config_.cycleTime)
-                        : xbar.evaluateIdeal(window, config_.cycleTime);
+        CrossbarEval eval =
+            active != nullptr
+                ? xbar.evaluateSparse(*active, config_.cycleTime)
+                : xbar.evaluateIdeal(window, config_.cycleTime);
         ++stats_.crossbarEvals;
         stats_.crossbarEnergy += eval.energy;
         billCheck(stats_, eval.check);
-        const double kappa = xbar.currentScale();
-        if (use_nu) {
-            // The eval result is ours by value: inject the periphery
-            // bias current in place instead of copying the column.
-            std::vector<double> &currents = eval.currents;
-            const double *bias_cur = biasDrive(g, group_offset, kappa);
-            const int cols = xbar.cols();
-            for (int j = 0; j < cols; ++j)
-                currents[static_cast<size_t>(j)] += bias_cur[j];
-            codes.resize(static_cast<size_t>(cols));
-            layer.nus[g]->evaluateInto(currents.data(), cols,
-                                       codes.data());
-            for (int j = 0; j < cols; ++j)
-                emit(group_offset + j,
-                     codes[static_cast<size_t>(j)] * step);
-        } else {
-            for (int j = 0; j < xbar.cols(); ++j) {
-                const double sum_norm =
-                    eval.currents[static_cast<size_t>(j)] / kappa;
-                emit(group_offset + j,
-                     static_cast<float>(
-                         sum_norm * layer.weightScale * in_ceiling +
-                         layer.bias[static_cast<size_t>(group_offset + j)]));
-            }
-        }
+        emitGroup(layer, g, eval.currents.data(), 1, out, out_stride);
     };
 
     /**
      * Batched form of evalGroup: @p batch windows (row-major
-     * batch x rows) through one evaluateIdealBatch call, emitting
-     * (window, kernel, value). Per-window arithmetic is the same
-     * expression sequence as evalGroup, so results are bit-identical to
-     * @p batch separate calls -- only the matrix traffic is amortized.
+     * batch x rows) through one evaluateIdealBatch call, window b
+     * emitting into out[b + k * out_stride]. Each window's results are
+     * bit-identical to a separate evalGroup call -- only the matrix
+     * traffic is amortized.
      */
-    std::vector<double> batch_currents;
-    auto evalGroupBatch = [&](size_t g, int group_offset, bool use_nu,
-                              const std::vector<double> &windows,
-                              int batch, auto &&emit) {
-        CrossbarArray &xbar = *layer.groups[g];
-        const CrossbarBatchEval eval =
-            xbar.evaluateIdealBatch(windows, batch, config_.cycleTime);
+    auto evalGroupBatch = [&](size_t g, const std::vector<double> &windows,
+                              int batch, float *out) {
+        CrossbarBatchEval eval = layer.groups[g]->evaluateIdealBatch(
+            windows, batch, config_.cycleTime);
         stats_.crossbarEvals += batch;
         stats_.crossbarEnergy += eval.energy;
         for (const CrossbarCheck &check : eval.checks)
             billCheck(stats_, check);
-        const double kappa = xbar.currentScale();
-        const int cols = xbar.cols();
-        std::vector<double> &currents = batch_currents;
-        currents.resize(static_cast<size_t>(cols));
-        for (int b = 0; b < batch; ++b) {
-            const double *cur =
-                eval.currents.data() + static_cast<size_t>(b) * cols;
-            if (use_nu) {
-                const double *bias_cur =
-                    biasDrive(g, group_offset, kappa);
-                for (int j = 0; j < cols; ++j)
-                    currents[static_cast<size_t>(j)] =
-                        cur[j] + bias_cur[j];
-                codes.resize(static_cast<size_t>(cols));
-                layer.nus[g]->evaluateInto(currents.data(), cols,
-                                           codes.data());
-                for (int j = 0; j < cols; ++j)
-                    emit(b, group_offset + j,
-                         codes[static_cast<size_t>(j)] * step);
-            } else {
-                for (int j = 0; j < cols; ++j) {
-                    const double sum_norm = cur[j] / kappa;
-                    emit(b, group_offset + j,
-                         static_cast<float>(
-                             sum_norm * layer.weightScale * in_ceiling +
-                             layer.bias[static_cast<size_t>(group_offset +
-                                                            j)]));
-                }
-            }
-        }
+        emitGroup(layer, g, eval.currents.data(), batch, out, out_stride);
     };
 
-    const bool use_nu = layer.hasActivation && !binary;
     const int kernels = src.numKernels();
     Tensor output;
 
@@ -529,160 +505,105 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
         const auto &fc = static_cast<const Linear &>(src);
         NEBULA_ASSERT(input.size() == fc.inFeatures(),
                       "linear input mismatch on chip");
-        std::vector<double> window(static_cast<size_t>(fc.inFeatures()));
-        for (long long i = 0; i < input.size(); ++i)
-            window[static_cast<size_t>(i)] = normAt(i);
-
+        const std::vector<double> window(in, in + input.size());
         SpikeVector active;
         const SpikeVector *spikes =
             binary && binaryActive(window, active) ? &active : nullptr;
         output = Tensor({1, kernels});
-        float *out_p = output.data();
-        for (size_t g = 0; g < layer.groups.size(); ++g)
-            evalGroup(g, static_cast<int>(g) * config_.atomicSize, use_nu,
-                      window, spikes, [&](int kernel, float value) {
-                          out_p[kernel] = value;
-                      });
-    } else if (src.kind() == LayerKind::Conv) {
-        const auto &conv = static_cast<const Conv2d &>(src);
-        const int k = conv.kernel(), stride = conv.stride(),
-                  pad = conv.padding();
-        const int in_c = conv.inChannels();
+        for (size_t g = 0; g < groups; ++g)
+            evalGroup(g, window, spikes, output.data());
+    } else if (src.kind() == LayerKind::Conv ||
+               src.kind() == LayerKind::DwConv) {
+        const bool dw = src.kind() == LayerKind::DwConv;
+        NEBULA_ASSERT(!dw || layer.dwKernelsPerAc > 0,
+                      "depthwise layer not diagonal-packed");
+        const auto geometry = [](const auto &conv) {
+            return std::array<int, 3>{conv.kernel(), conv.stride(),
+                                      conv.padding()};
+        };
+        const auto [k, stride, pad] =
+            dw ? geometry(static_cast<const DwConv2d &>(src))
+               : geometry(static_cast<const Conv2d &>(src));
         const int in_h = input.dim(2), in_w = input.dim(3);
         const int out_h = (in_h + 2 * pad - k) / stride + 1;
         const int out_w = (in_w + 2 * pad - k) / stride + 1;
+        const size_t plane = static_cast<size_t>(out_h) * out_w;
 
         output = Tensor({1, kernels, out_h, out_w});
         float *out_p = output.data();
-        const int rf_conv = conv.receptiveField();
+        out_stride = plane;
 
-        // im2col table: the input offset of every window element,
+        // im2col tables: the input offset of every window element,
         // window after window in output raster order, -1 where a window
-        // covers padding. Built on the first input of each (H, W) and
-        // kept on the layer; a gather is then one table walk with no
-        // bounds checks, shared by the ANN rows and the SNN windows.
+        // covers padding. A Conv window spans every input channel and
+        // one table serves all column groups; a diagonal-packed DwConv
+        // group's window spans only its own channels, so each group has
+        // a table. Built on the first input of each (H, W) and kept on
+        // the layer; a gather is then one table walk with no bounds
+        // checks, shared by the ANN rows and the SNN windows.
         if (layer.gatherH != in_h || layer.gatherW != in_w) {
-            layer.gather.resize(static_cast<size_t>(out_h) * out_w *
-                                rf_conv);
-            int *idx = layer.gather.data();
-            for (int oh = 0; oh < out_h; ++oh)
-                for (int ow = 0; ow < out_w; ++ow)
-                    for (int c = 0; c < in_c; ++c)
-                        for (int kh = 0; kh < k; ++kh)
-                            for (int kw = 0; kw < k; ++kw) {
-                                const int ih = oh * stride - pad + kh;
-                                const int iw = ow * stride - pad + kw;
-                                *idx++ = ih < 0 || ih >= in_h || iw < 0 ||
-                                                 iw >= in_w
-                                             ? -1
-                                             : (c * in_h + ih) * in_w + iw;
-                            }
+            layer.gather.assign(dw ? groups : 1, {});
+            for (size_t t = 0; t < layer.gather.size(); ++t) {
+                const int c0 =
+                    dw ? static_cast<int>(t) * layer.groupKernels : 0;
+                const int c1 =
+                    dw ? c0 + layer.groups[t]->cols()
+                       : static_cast<const Conv2d &>(src).inChannels();
+                std::vector<int> &table = layer.gather[t];
+                table.resize(plane * (c1 - c0) * k * k);
+                int *idx = table.data();
+                for (int oh = 0; oh < out_h; ++oh)
+                    for (int ow = 0; ow < out_w; ++ow)
+                        for (int c = c0; c < c1; ++c)
+                            for (int kh = 0; kh < k; ++kh)
+                                for (int kw = 0; kw < k; ++kw) {
+                                    const int ih = oh * stride - pad + kh;
+                                    const int iw = ow * stride - pad + kw;
+                                    *idx++ = ih < 0 || ih >= in_h ||
+                                                     iw < 0 || iw >= in_w
+                                                 ? -1
+                                                 : (c * in_h + ih) * in_w +
+                                                       iw;
+                                }
+            }
             layer.gatherH = in_h;
             layer.gatherW = in_w;
         }
-        // Gather @p count consecutive windows from window @p first on.
-        auto gatherWindows = [&](int first, int count, double *windows) {
-            const int *idx =
-                layer.gather.data() + static_cast<size_t>(first) * rf_conv;
-            const size_t n = static_cast<size_t>(count) * rf_conv;
-            for (size_t e = 0; e < n; ++e)
+        // Gather @p count consecutive windows of group @p g from window
+        // @p first on; true if the group has its own table (or is the
+        // first), i.e. the windows changed.
+        std::vector<double> windows;
+        auto gatherWindows = [&](size_t g, size_t first, int count) {
+            if (!dw && g > 0)
+                return false;
+            const size_t rows = static_cast<size_t>(layer.groups[g]->rows());
+            const int *idx = layer.gather[g].data() + first * rows;
+            windows.resize(static_cast<size_t>(count) * rows);
+            for (size_t e = 0; e < windows.size(); ++e)
                 windows[e] = in[idx[e]];
+            return true;
         };
 
         if (!binary) {
             // ANN mode: batch one output row of windows per crossbar
             // call so the cached conductance matrix streams once per
             // out_w windows instead of once per window.
-            std::vector<double> windows(
-                static_cast<size_t>(out_w) * rf_conv);
-            for (int oh = 0; oh < out_h; ++oh) {
-                gatherWindows(oh * out_w, out_w, windows.data());
-                for (size_t g = 0; g < layer.groups.size(); ++g)
-                    evalGroupBatch(
-                        g, static_cast<int>(g) * config_.atomicSize,
-                        use_nu, windows, out_w,
-                        [&](int ow, int kernel, float value) {
-                            out_p[(static_cast<size_t>(kernel) * out_h +
-                                   oh) *
-                                      out_w +
-                                  ow] = value;
-                        });
-            }
+            for (int oh = 0; oh < out_h; ++oh)
+                for (size_t g = 0; g < groups; ++g) {
+                    const size_t first = static_cast<size_t>(oh) * out_w;
+                    gatherWindows(g, first, out_w);
+                    evalGroupBatch(g, windows, out_w, out_p + first);
+                }
         } else {
-            std::vector<double> window(static_cast<size_t>(rf_conv));
             SpikeVector active;
-            for (int oh = 0; oh < out_h; ++oh) {
-                for (int ow = 0; ow < out_w; ++ow) {
-                    gatherWindows(oh * out_w + ow, 1, window.data());
-                    const SpikeVector *spikes =
-                        binaryActive(window, active) ? &active : nullptr;
-                    for (size_t g = 0; g < layer.groups.size(); ++g)
-                        evalGroup(g,
-                                  static_cast<int>(g) * config_.atomicSize,
-                                  use_nu, window, spikes,
-                                  [&](int kernel, float value) {
-                                      out_p[(static_cast<size_t>(kernel) *
-                                                 out_h +
-                                             oh) *
-                                                out_w +
-                                            ow] = value;
-                                  });
+            const SpikeVector *spikes = nullptr;
+            for (size_t pos = 0; pos < plane; ++pos)
+                for (size_t g = 0; g < groups; ++g) {
+                    if (gatherWindows(g, pos, 1))
+                        spikes =
+                            binaryActive(windows, active) ? &active : nullptr;
+                    evalGroup(g, windows, spikes, out_p + pos);
                 }
-            }
-        }
-    } else if (src.kind() == LayerKind::DwConv) {
-        const auto &conv = static_cast<const DwConv2d &>(src);
-        const int k = conv.kernel(), stride = conv.stride(),
-                  pad = conv.padding();
-        const int channels = conv.channels();
-        const int in_h = input.dim(2), in_w = input.dim(3);
-        const int out_h = (in_h + 2 * pad - k) / stride + 1;
-        const int out_w = (in_w + 2 * pad - k) / stride + 1;
-        const int kpa = layer.dwKernelsPerAc;
-        NEBULA_ASSERT(kpa > 0, "depthwise layer not diagonal-packed");
-
-        output = Tensor({1, channels, out_h, out_w});
-        float *out_p = output.data();
-        SpikeVector active;
-        for (int oh = 0; oh < out_h; ++oh) {
-            for (int ow = 0; ow < out_w; ++ow) {
-                for (size_t g = 0; g < layer.groups.size(); ++g) {
-                    CrossbarArray &xbar = *layer.groups[g];
-                    const int local = xbar.cols();
-                    std::vector<double> window(
-                        static_cast<size_t>(xbar.rows()), 0.0);
-                    for (int j = 0; j < local; ++j) {
-                        const int c = static_cast<int>(g) * kpa + j;
-                        size_t r = static_cast<size_t>(j) * k * k;
-                        for (int kh = 0; kh < k; ++kh)
-                            for (int kw = 0; kw < k; ++kw, ++r) {
-                                const int ih = oh * stride - pad + kh;
-                                const int iw = ow * stride - pad + kw;
-                                window[r] =
-                                    (ih < 0 || ih >= in_h || iw < 0 ||
-                                     iw >= in_w)
-                                        ? 0.0
-                                        : normAt((static_cast<long long>(
-                                                      c) *
-                                                      in_h +
-                                                  ih) *
-                                                     in_w +
-                                                 iw);
-                            }
-                    }
-                    const SpikeVector *spikes =
-                        binary && binaryActive(window, active) ? &active
-                                                               : nullptr;
-                    evalGroup(g, static_cast<int>(g) * kpa, use_nu, window,
-                              spikes, [&](int kernel, float value) {
-                                  out_p[(static_cast<size_t>(kernel) *
-                                             out_h +
-                                         oh) *
-                                            out_w +
-                                        ow] = value;
-                              });
-                }
-            }
         }
     } else {
         NEBULA_PANIC("unsupported weight layer on chip: ", src.name());
@@ -695,60 +616,18 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
 Tensor
 NebulaChip::runAnn(const Tensor &image)
 {
-    NEBULA_ASSERT(annNet_, "no ANN programmed");
-    Network &net = *annNet_;
-
-    std::vector<int> batched;
-    batched.push_back(1);
-    for (int d = 0; d < image.rank(); ++d)
-        batched.push_back(image.dim(d));
-    Tensor x = image.reshaped(batched);
-
+    NEBULA_ASSERT(prog_.mode == Mode::ANN, "no ANN programmed");
     const ChipStats before = stats_;
-    size_t next_mapped = 0;
-    for (int i = 0; i < net.numLayers(); ++i) {
-        Layer &layer = net.layer(i);
-        if (layer.isWeightLayer()) {
-            NEBULA_ASSERT(next_mapped < layers_.size(),
-                          "unmapped weight layer");
-            MappedLayer &mapped = layers_[next_mapped++];
-            x = evaluateLayer(mapped, x, false);
-            if (!mapped.hasActivation) {
-                // Output layer: partial sums digitized by the ADC.
-                stats_.adcConversions += x.size();
-                obs::recordInstant("chip", "adc.convert",
-                                   config_.traceChip);
-            }
-            // Inter-layer traffic: 4-bit activations to the next core.
-            obs::TraceSpan noc_span("noc", "transfer", config_.traceChip);
-            noc_span.arg("bits", static_cast<double>(
-                                     x.size() * config_.precisionBits));
-            stats_.nocPackets++;
-            stats_.nocEnergy += noc_.transferEnergy(
-                {0, 0}, {1, 0}, x.size() * config_.precisionBits);
-        } else if (layer.kind() == LayerKind::ClippedRelu) {
-            // Already applied by the preceding layer's neuron units.
-            continue;
-        } else {
-            x = layer.forward(x, false);
-        }
-    }
+    Tensor logits = runStages(withBatchDim(image));
     publishRun(before, Mode::ANN);
-    return x;
+    return logits;
 }
 
 void
 NebulaChip::programSnn(SpikingModel &model)
 {
     snnModel_ = &model;
-    annNet_ = nullptr;
-    layers_.clear();
-    snn_ = SnnProgram();
-    mapping_ = mapper_.map(model.net);
-    clearStats();
-    programReport_ = ProgramReport();
-    updateReport_ = UpdateReport();
-    crossbarIndex_ = 0;
+    resetProgram(model.net, Mode::SNN);
 
     // Compile the stage list while mapping. `spikes` tracks whether the
     // signal at this point is a binary spike map (the encoder output or
@@ -757,7 +636,7 @@ NebulaChip::programSnn(SpikingModel &model)
     bool spikes = true;
     for (int i = 0; i < net.numLayers(); ++i) {
         Layer &layer = net.layer(i);
-        SnnStage stage;
+        Stage stage;
         stage.layer = &layer;
         if (layer.isWeightLayer()) {
             const Tensor &w = *layer.parameters()[0];
@@ -767,14 +646,14 @@ NebulaChip::programSnn(SpikingModel &model)
             layers_.push_back(std::move(mapped));
             stage.mapped = layers_.size() - 1;
             if (spikes && layer.kind() == LayerKind::Linear) {
-                stage.kind = SnnStage::Kind::Sparse;
+                stage.kind = Stage::Kind::Sparse;
                 stage.out = Tensor({1, layer.numKernels()});
-                if (snn_.stages.empty())
-                    snn_.sparseInput = true;
+                if (prog_.stages.empty())
+                    prog_.sparseInput = true;
                 else
-                    snn_.stages.back().feedsSparse = true;
+                    prog_.stages.back().feedsSparse = true;
             } else {
-                stage.kind = SnnStage::Kind::Mapped;
+                stage.kind = Stage::Kind::Mapped;
             }
             spikes = false;
         } else if (spikes && layer.kind() == LayerKind::Flatten &&
@@ -791,32 +670,88 @@ NebulaChip::programSnn(SpikingModel &model)
             }
             spikes = stage.neuron != nullptr;
         }
-        snn_.stages.push_back(std::move(stage));
+        prog_.stages.push_back(std::move(stage));
     }
     publishMappingMetrics("snn", config_, mapping_);
 }
 
 void
-NebulaChip::runSparseStage(SnnStage &stage)
+NebulaChip::runSparseStage(Stage &stage)
 {
     MappedLayer &layer = layers_[stage.mapped];
-    obs::TraceSpan span("chip", "layer.eval", config_.traceChip);
+    obs::TraceSpan span("chip", "layer.eval");
     span.arg("layer", static_cast<double>(layer.map.layerIndex));
-    float *out = stage.out.data();
+    CrossbarEval &eval = prog_.evalWs;
     for (size_t g = 0; g < layer.groups.size(); ++g) {
-        CrossbarArray &xbar = *layer.groups[g];
-        xbar.evaluateSparseInto(snn_.active, config_.cycleTime, snn_.evalWs);
+        layer.groups[g]->evaluateSparseInto(prog_.active, config_.cycleTime,
+                                            eval);
         ++stats_.crossbarEvals;
-        stats_.crossbarEnergy += snn_.evalWs.energy;
-        billCheck(stats_, snn_.evalWs.check);
-        // Binary drivers: in_ceiling == 1 exactly, so evaluateLayer()'s
-        // emit reduces to emitAffine() bit for bit.
-        const int group_offset = static_cast<int>(g) * config_.atomicSize;
-        emitAffine(out + group_offset, layer.bias.data() + group_offset,
-                   snn_.evalWs.currents.data(), xbar.cols(),
-                   xbar.currentScale(), static_cast<double>(layer.weightScale));
+        stats_.crossbarEnergy += eval.energy;
+        billCheck(stats_, eval.check);
+        emitGroup(layer, g, eval.currents.data(), 1, stage.out.data(), 1);
     }
     span.arg("crossbar_evals", static_cast<double>(layer.groups.size()));
+}
+
+const Tensor &
+NebulaChip::runStages(const Tensor &input)
+{
+    const bool spiking = prog_.mode == Mode::SNN;
+    const long long bits_per_output = spiking ? 1 : config_.precisionBits;
+    const Tensor *x = &input;
+    for (Stage &stage : prog_.stages) {
+        switch (stage.kind) {
+        case Stage::Kind::Sparse:
+            NEBULA_ASSERT(static_cast<const Linear &>(*stage.layer)
+                                  .inFeatures() == x->size(),
+                          "linear input mismatch on chip");
+            runSparseStage(stage);
+            break;
+        case Stage::Kind::Mapped: {
+            MappedLayer &layer = layers_[stage.mapped];
+            stage.out = evaluateLayer(layer, *x, spiking);
+            if (!spiking && !layer.hasActivation) {
+                // Output layer: partial sums digitized by the ADC.
+                stats_.adcConversions += stage.out.size();
+                obs::recordInstant("chip", "adc.convert");
+            }
+            break;
+        }
+        case Stage::Kind::Host:
+            if (stage.neuron) {
+                stage.neuron->ensureState(x->shape());
+                if (!stage.out.sameShape(*x))
+                    stage.out = Tensor(x->shape());
+                if (stage.plainIf)
+                    stage.neuron->stepPlain(x->data(), stage.out.data(),
+                                            x->size());
+                else
+                    stage.neuron->step(x->data(), stage.out.data(),
+                                       x->size());
+            } else {
+                stage.out = stage.layer->forward(*x, false);
+            }
+            if (stage.feedsSparse) {
+                prog_.active.clear();
+                const float *sp = stage.out.data();
+                for (long long i = 0; i < stage.out.size(); ++i)
+                    if (sp[i] != 0.0f)
+                        prog_.active.push_back(static_cast<int>(i));
+            }
+            break;
+        }
+        x = &stage.out;
+        if (stage.kind != Stage::Kind::Host) {
+            // Inter-layer traffic to the next core: precisionBits-bit
+            // activations, or one spike bit per output.
+            const long long bits = x->size() * bits_per_output;
+            obs::TraceSpan noc_span("noc", "transfer");
+            noc_span.arg("bits", static_cast<double>(bits));
+            stats_.nocPackets++;
+            stats_.nocEnergy += noc_.transferEnergy({0, 0}, {1, 0}, bits);
+        }
+    }
+    return *x;
 }
 
 SnnRunResult
@@ -835,13 +770,9 @@ NebulaChip::runSnn(const Tensor &image, int timesteps,
     model.resetState();
 
     PoissonEncoder encoder(1.0, encoder_seed);
-    std::vector<int> batched;
-    batched.push_back(1);
-    for (int d = 0; d < image.rank(); ++d)
-        batched.push_back(image.dim(d));
-    const Tensor input = image.reshaped(batched);
-    if (snn_.sparseInput)
-        encoder.buildPlan(input, snn_.encPlan);
+    const Tensor input = withBatchDim(image);
+    if (prog_.sparseInput)
+        encoder.buildPlan(input, prog_.encPlan);
 
     SnnRunResult result;
     result.timesteps = timesteps;
@@ -849,73 +780,28 @@ NebulaChip::runSnn(const Tensor &image, int timesteps,
     const ChipStats before = stats_;
 
     for (int t = 0; t < timesteps; ++t) {
-        obs::TraceSpan step_span("chip", "timestep", config_.traceChip);
+        obs::TraceSpan step_span("chip", "timestep");
         step_span.arg("t", static_cast<double>(t));
         {
-            obs::TraceSpan encode_span("snn", "encode", config_.traceChip);
-            if (snn_.sparseInput) {
-                encoder.encodeActive(snn_.encPlan, snn_.active);
-                input_spikes += static_cast<long long>(snn_.active.size());
+            obs::TraceSpan encode_span("snn", "encode");
+            if (prog_.sparseInput) {
+                encoder.encodeActive(prog_.encPlan, prog_.active);
+                input_spikes += static_cast<long long>(prog_.active.size());
             } else {
-                encoder.encodeInto(input, snn_.spikeBuf);
-                input_spikes += static_cast<long long>(snn_.spikeBuf.sum());
+                encoder.encodeInto(input, prog_.spikeBuf);
+                input_spikes += static_cast<long long>(prog_.spikeBuf.sum());
             }
         }
 
-        // A Sparse stage reads the active list, so x only has to stand
-        // for the shape of the spikes it was drawn from.
-        const Tensor *x = snn_.sparseInput ? &input : &snn_.spikeBuf;
-        for (SnnStage &stage : snn_.stages) {
-            switch (stage.kind) {
-            case SnnStage::Kind::Sparse:
-                NEBULA_ASSERT(static_cast<const Linear &>(*stage.layer)
-                                      .inFeatures() == x->size(),
-                              "linear input mismatch on chip");
-                runSparseStage(stage);
-                break;
-            case SnnStage::Kind::Mapped:
-                stage.out = evaluateLayer(layers_[stage.mapped], *x, true);
-                break;
-            case SnnStage::Kind::Host:
-                if (stage.neuron) {
-                    stage.neuron->ensureState(x->shape());
-                    if (!stage.out.sameShape(*x))
-                        stage.out = Tensor(x->shape());
-                    if (stage.plainIf)
-                        stage.neuron->stepPlain(x->data(), stage.out.data(),
-                                                x->size());
-                    else
-                        stage.neuron->step(x->data(), stage.out.data(),
-                                           x->size());
-                } else {
-                    stage.out = stage.layer->forward(*x, false);
-                }
-                if (stage.feedsSparse) {
-                    snn_.active.clear();
-                    const float *sp = stage.out.data();
-                    for (long long i = 0; i < stage.out.size(); ++i)
-                        if (sp[i] != 0.0f)
-                            snn_.active.push_back(static_cast<int>(i));
-                }
-                break;
-            }
-            x = &stage.out;
-            if (stage.kind != SnnStage::Kind::Host) {
-                // Inter-layer traffic: one spike bit per output to the
-                // next core.
-                obs::TraceSpan noc_span("noc", "transfer",
-                                        config_.traceChip);
-                noc_span.arg("bits", static_cast<double>(x->size()));
-                stats_.nocPackets++;
-                stats_.nocEnergy +=
-                    noc_.transferEnergy({0, 0}, {1, 0}, x->size());
-            }
-        }
-        obs::TraceSpan acc_span("snn", "accumulate", config_.traceChip);
+        // A Sparse stage reads the active list, so the input only has to
+        // stand for the shape of the spikes it was drawn from.
+        const Tensor &out =
+            runStages(prog_.sparseInput ? input : prog_.spikeBuf);
+        obs::TraceSpan acc_span("snn", "accumulate");
         if (t == 0)
-            result.logits = *x;
+            result.logits = out;
         else
-            result.logits.add(*x);
+            result.logits.add(out);
     }
 
     result.inputRate =

@@ -11,9 +11,10 @@
  * tests (NeuronUnitCircuit.*) establish that the DW-MTJ neuron device
  * matches that model to within pinning quantization, so the chip
  * simulator does not instantiate per-output-position device objects.
- * programSnn() compiles the network into one stage list and runSnn()
- * runs one timestep loop over it, traced or not; the golden vectors
- * (tests/golden/) pin its outputs and ChipStats totals.
+ * programAnn() and programSnn() compile the network into one stage
+ * list; runAnn() runs it once and runSnn() once per timestep, traced or
+ * not. The golden vectors (tests/golden/) pin its outputs and ChipStats
+ * totals.
  *
  * Used by the integration tests and the quickstart example to show the
  * full device -> circuit -> architecture -> algorithm stack agreeing
@@ -24,6 +25,7 @@
 #define NEBULA_ARCH_CHIP_HPP
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "arch/energy_breakdown.hpp"
@@ -181,13 +183,27 @@ class NebulaChip
         std::vector<float> bias;  //!< real-unit bias per kernel
         float weightScale = 1.0f; //!< |w| normalization used on the cells
         float inputCeiling = 1.0f;  //!< a_max of the incoming activation
+                                    //!< (1 for binary spike inputs)
         float outputCeiling = 0.0f; //!< a_max after the following ReLU
         bool hasActivation = false;
         int dwKernelsPerAc = 0;     //!< >0 for diagonal-packed depthwise
-        /** Conv im2col table (see evaluateLayer) for one input size. */
-        std::vector<int> gather;
+        int groupKernels = 0;       //!< kernels per column group
+        /** Per group and column: the neuron unit's bias current. */
+        std::vector<std::vector<double>> biasDrive;
+        /**
+         * im2col tables (see evaluateLayer) for one input size: one for
+         * a Conv, one per column group for a diagonal-packed DwConv.
+         */
+        std::vector<std::vector<int>> gather;
         int gatherH = -1; //!< input height the table was built for
         int gatherW = -1; //!< input width the table was built for
+
+        /**
+         * Re-read the bias from the source layer (it lives in the
+         * digital periphery) and, with an activation, the bias current
+         * each neuron-unit column injects.
+         */
+        void syncBias();
     };
 
     /** Program one weight layer's crossbars. */
@@ -212,15 +228,28 @@ class NebulaChip
                          bool binary);
 
     /**
-     * One step of the compiled SNN stage list. The kind is fixed at
-     * programSnn() time from the topology, never by an option:
-     *  - Sparse: a Linear whose input is the encoder's or an IF layer's
-     *    spikes (at most a Flatten between, folded away): its column
-     *    groups are driven by the active-row list;
+     * Rebuild column group @p g's outputs for @p batch windows (the
+     * row-major batch x cols @p currents) into out[b + k * stride] for
+     * window b and each kernel k of the group. With an activation, the
+     * bias current is injected into @p currents in place and the
+     * group's neuron unit reads them out as output levels; otherwise
+     * the weighted sum is rebuilt in real units for the ADC path.
+     */
+    void emitGroup(MappedLayer &layer, size_t g, double *currents,
+                   int batch, float *out, size_t stride);
+
+    /**
+     * One step of the compiled stage list. The kind is fixed at program
+     * time from the topology, never by an option:
+     *  - Sparse (SNN): a Linear whose input is the encoder's or an IF
+     *    layer's spikes (at most a Flatten between, folded away): its
+     *    column groups are driven by the active-row list;
      *  - Mapped: every other weight layer, through evaluateLayer();
      *  - Host: IF, pooling and Flatten, computed beside the crossbars.
+     * An ANN ClippedRelu compiles to nothing: the preceding weight
+     * layer's neuron units apply it.
      */
-    struct SnnStage
+    struct Stage
     {
         enum class Kind { Sparse, Mapped, Host };
         Kind kind = Kind::Host;
@@ -229,25 +258,38 @@ class NebulaChip
         IfLayer *neuron = nullptr; //!< the IF layer of a Host stage
         bool plainIf = false;      //!< neuron qualifies for stepPlain()
         bool feedsSparse = false;  //!< refill the active list from out
-        Tensor out;                //!< stage output, reused every step
+        Tensor out;                //!< stage output, reused every run
     };
 
-    /** The compiled SNN: its stage list plus per-run workspaces. */
-    struct SnnProgram
+    /** The compiled network: its mode, stage list and run workspaces. */
+    struct Program
     {
-        std::vector<SnnStage> stages;
+        std::optional<Mode> mode;  //!< empty until programmed
+        std::vector<Stage> stages;
         bool sparseInput = false;  //!< first stage reads encoder rows
         Tensor spikeBuf;           //!< encoder output (dense input)
         SpikeVector active;        //!< active-row list between stages
         CrossbarEval evalWs;       //!< crossbar result workspace
+        std::vector<int> codes;    //!< neuron-unit output levels
         PoissonEncoder::EncodePlan encPlan; //!< per-run encode plan
     };
+
+    /** Drop the programmed network and map @p net for @p mode. */
+    void resetProgram(Network &net, Mode mode);
+
+    /**
+     * Run the stage list once on @p input (one ANN image or one SNN
+     * timestep's spikes) and return the last stage's output. NoC
+     * traffic is billed per weight stage, at precisionBits bits per
+     * output in ANN mode and one spike bit in SNN mode.
+     */
+    const Tensor &runStages(const Tensor &input);
 
     /**
      * Run one Sparse stage: every column group driven by the active
      * rows, pre-activations rebuilt into stage.out.
      */
-    void runSparseStage(SnnStage &stage);
+    void runSparseStage(Stage &stage);
 
     /**
      * Publish the ChipStats deltas since @p before (one run) into the
@@ -266,10 +308,9 @@ class NebulaChip
     LayerMapper mapper_;
     MeshNoc noc_;
 
-    Network *annNet_ = nullptr;
     SpikingModel *snnModel_ = nullptr;
     std::vector<MappedLayer> layers_; //!< one per weight layer, in order
-    SnnProgram snn_;
+    Program prog_;
     NetworkMapping mapping_;
     ChipStats stats_;
     Rng runSeeds_;

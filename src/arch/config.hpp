@@ -43,13 +43,6 @@ struct NebulaConfig
     int annCores = 14;
     int snnCores = 14 * 13;
 
-    /**
-     * Average ANN driver activity: mean activation level as a fraction
-     * of full scale, used to scale crossbar read energy. Calibrated per
-     * network from the functional simulator when available.
-     */
-    double defaultAnnActivity = 0.5;
-
     // -- Access-energy constants (32 nm class) ----------------------------
     //
     // The buffers and eDRAM are charged per access (their Table III
@@ -69,13 +62,6 @@ struct NebulaConfig
 
     /** Leakage per active SNN core (W); SNN cores are smaller. */
     double snnCoreLeakage = 0.8e-3;
-
-    /**
-     * Emit chip-level trace spans (layer evaluations, SNN timesteps,
-     * ADC/NoC events) when a TraceSession is active. Off-path cost when
-     * no session is active is one relaxed atomic load per span site.
-     */
-    bool traceChip = true;
 
     /**
      * Online ABFT integrity checking: program one checksum column per

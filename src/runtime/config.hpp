@@ -96,13 +96,6 @@ struct EngineConfig
      */
     uint64_t seedSalt = 0x9e3779b97f4a7c15ull;
 
-    /**
-     * Emit per-request trace spans (queue-depth counters, latency
-     * histograms) when a TraceSession is active. Off-path cost when no
-     * session is active is one relaxed atomic load per request.
-     */
-    bool traceRequests = true;
-
     // -- resilience ------------------------------------------------------
 
     /** Admission control under load (see ShedPolicy). */

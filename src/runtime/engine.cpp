@@ -46,7 +46,6 @@ InferenceEngine::InferenceEngine(EngineConfig config,
     hooks.onComplete = [this](double service) { noteCompleted(service); };
     hooks.health = health_on ? health : nullptr;
     hooks.maxConsecutiveFaults = config_.maxConsecutiveFaults;
-    hooks.traceRequests = config_.traceRequests;
     hooks.abftReExecute = config_.abft.reExecute;
     hooks.abftFallback = config_.abft.fallback;
     if (config_.maxConsecutiveFaults > 0) {
@@ -65,8 +64,7 @@ InferenceEngine::InferenceEngine(EngineConfig config,
                 obs::MetricsRegistry::global()
                     .counter("runtime.worker_restart")
                     .inc();
-                obs::recordInstant("runtime", "worker.restart",
-                                   config_.traceRequests);
+                obs::recordInstant("runtime", "worker.restart");
                 return factory_(slot);
             };
     }
@@ -124,7 +122,7 @@ InferenceEngine::shed(QueueItem &item, const char *why)
 {
     shed_.fetch_add(1);
     obs::MetricsRegistry::global().counter("runtime.shed").inc();
-    obs::recordInstant("runtime", "request.shed", config_.traceRequests);
+    obs::recordInstant("runtime", "request.shed");
     settleUnevaluated(item, RuntimeErrorKind::Shed, why);
 }
 
@@ -190,8 +188,11 @@ InferenceEngine::submit(InferenceRequest request)
         throw EngineStoppedError("InferenceEngine shut down during submit");
     }
 
-    obs::recordCounter("queue.depth", static_cast<double>(queue_.size()),
-                       config_.traceRequests);
+    // Sampling the queue depth takes the queue mutex: only pay for it
+    // when a trace session is actually recording.
+    if (obs::TraceSession::enabled())
+        obs::recordCounter("queue.depth",
+                           static_cast<double>(queue_.size()));
     return future;
 }
 

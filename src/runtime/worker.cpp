@@ -96,8 +96,7 @@ Worker::processItem(QueueItem &item)
         item.request.cancel->load(std::memory_order_acquire)) {
         stats_.scalar("cancelled").inc();
         obs::MetricsRegistry::global().counter("runtime.cancelled").inc();
-        obs::recordInstant("runtime", "request.cancelled",
-                           hooks_.traceRequests);
+        obs::recordInstant("runtime", "request.cancelled");
         settleUnevaluated(item, RuntimeErrorKind::Cancelled,
                           "request cancelled before evaluation", id_, wait);
         hooks_.onComplete(-1.0);
@@ -106,8 +105,7 @@ Worker::processItem(QueueItem &item)
     if (item.hasDeadline && start > item.deadline) {
         stats_.scalar("timeouts").inc();
         obs::MetricsRegistry::global().counter("runtime.timeout").inc();
-        obs::recordInstant("runtime", "request.timeout",
-                           hooks_.traceRequests);
+        obs::recordInstant("runtime", "request.timeout");
         settleUnevaluated(item, RuntimeErrorKind::Timeout,
                           "deadline expired in queue", id_, wait);
         hooks_.onComplete(-1.0);
@@ -119,20 +117,18 @@ Worker::processItem(QueueItem &item)
     // replica_->run() when this request is sampled out. Queue wait
     // is attached as an arg (not a span) so per-thread timestamps
     // stay monotonic.
-    obs::TraceSpan span("runtime", "request", hooks_.traceRequests,
+    obs::TraceSpan span("runtime", "request", /*enabled=*/true,
                         /*sampled_root=*/true);
     span.arg("id", static_cast<double>(item.request.id));
     span.arg("wait_ms", 1e3 * wait);
     // Distributed-trace hop: a request carrying wire trace context
     // links its worker evaluation into the client/server flow.
-    obs::recordFlowStep("runtime", "request.flow", item.request.traceId,
-                        hooks_.traceRequests);
+    obs::recordFlowStep("runtime", "request.flow", item.request.traceId);
     // Sampling the queue depth takes the queue mutex: only pay for it
     // when a trace session is actually recording.
-    if (hooks_.traceRequests)
+    if (obs::TraceSession::enabled())
         obs::recordCounter("queue.depth",
-                           static_cast<double>(queue_->size()),
-                           hooks_.traceRequests);
+                           static_cast<double>(queue_->size()));
     double service = -1.0;
     bool violated = false;
     try {
@@ -168,8 +164,7 @@ Worker::processItem(QueueItem &item)
         obs::MetricsRegistry::global()
             .counter("runtime.replica_fault")
             .inc();
-        obs::recordInstant("runtime", "request.failed",
-                           hooks_.traceRequests);
+        obs::recordInstant("runtime", "request.failed");
         settleUnevaluated(item, RuntimeErrorKind::ReplicaFault,
                           faultMessage(std::current_exception()), id_, wait);
         ++consecutiveFaults_;
@@ -200,8 +195,7 @@ Worker::processItem(QueueItem &item)
             obs::MetricsRegistry::global()
                 .counter("health.probe_fault")
                 .inc();
-            obs::recordInstant("runtime", "health.probe_fault",
-                               hooks_.traceRequests);
+            obs::recordInstant("runtime", "health.probe_fault");
             ++consecutiveFaults_;
         }
     }
@@ -217,7 +211,7 @@ Worker::handleViolation(const QueueItem &item, InferenceResult &result)
     auto &registry = obs::MetricsRegistry::global();
     stats_.scalar("abft.violations").inc();
     registry.counter("abft.request_violations").inc();
-    obs::recordInstant("runtime", "abft.violation", hooks_.traceRequests);
+    obs::recordInstant("runtime", "abft.violation");
 
     if (!hooks_.abftReExecute || !hooks_.abftFallback)
         return false;
@@ -247,8 +241,7 @@ Worker::handleViolation(const QueueItem &item, InferenceResult &result)
         result = std::move(redo);
         stats_.scalar("abft.reexecutions").inc();
         registry.counter("abft.reexecutions").inc();
-        obs::recordInstant("runtime", "abft.reexecute",
-                           hooks_.traceRequests);
+        obs::recordInstant("runtime", "abft.reexecute");
         return true;
     } catch (...) {
         // A faulting fallback must not unseat the flagged original:
@@ -268,8 +261,7 @@ Worker::escalateHealthProbe()
     } catch (...) {
         stats_.scalar("probe_failures").inc();
         obs::MetricsRegistry::global().counter("health.probe_fault").inc();
-        obs::recordInstant("runtime", "health.probe_fault",
-                           hooks_.traceRequests);
+        obs::recordInstant("runtime", "health.probe_fault");
         ++consecutiveFaults_;
     }
 }

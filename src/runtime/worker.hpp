@@ -66,9 +66,6 @@ struct WorkerHooks
     /** Consecutive-fault threshold for superviseRestart (0: off). */
     int maxConsecutiveFaults = 0;
 
-    /** Emit per-request trace spans when a session is active. */
-    bool traceRequests = true;
-
     /**
      * Hedged re-execution of ABFT-flagged results (EngineConfig::abft):
      * when a result carries integrity violations and the deadline still

@@ -283,13 +283,12 @@ ServingServer::enqueueReady(Connection &conn, WireResponse response,
 bool
 ServingServer::dispatch(Connection &conn, WireRequest request)
 {
-    obs::TraceSpan span("serving", "request", config_.traceRequests);
+    obs::TraceSpan span("serving", "request");
     span.arg("corr_id", static_cast<double>(request.corrId));
     // Cross-process flow: the client emitted the flow start under this
     // id; the step here and the one in the worker link submit ->
     // dispatch -> evaluate into one Perfetto track.
-    obs::recordFlowStep("serving", "request.flow", request.traceId,
-                        config_.traceRequests);
+    obs::recordFlowStep("serving", "request.flow", request.traceId);
     auto &metrics = obs::MetricsRegistry::global();
     const auto received = std::chrono::steady_clock::now();
     const std::string catalog_id =

@@ -77,9 +77,6 @@ struct ServerConfig
     /** Per-tenant quota overrides. */
     std::map<std::string, TenantQuota> tenantQuotas;
 
-    /** Emit serving trace spans when a TraceSession is active. */
-    bool traceRequests = true;
-
     /** Per-(tenant, model) rolling SLO objective and window shape. */
     obs::SloConfig slo;
 

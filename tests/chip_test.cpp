@@ -3,12 +3,11 @@
  * Full-stack integration tests: quantized networks executed through the
  * chip model (DW-MTJ crossbars + drivers + neuron units) must agree
  * with the functional simulator, in both ANN and SNN modes; plus the
- * accumulator unit and chip statistics.
+ * chip statistics.
  */
 
 #include <gtest/gtest.h>
 
-#include "arch/accumulator.hpp"
 #include "arch/chip.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
@@ -77,46 +76,6 @@ TEST(ChipStats, MergeAddsEveryCounter)
     a.merge(ChipStats());
     EXPECT_EQ(a.crossbarEvals, 8);
     EXPECT_DOUBLE_EQ(a.nocEnergy, 1.0);
-}
-
-TEST(Accumulator, CountsAndScales)
-{
-    AccumulatorUnit au(8);
-    au.accumulate({1, 0, 1, 1, 0, 0, 0, 1});
-    au.accumulate({1, 0, 0, 1, 0, 0, 0, 0});
-    EXPECT_EQ(au.count(0), 2);
-    EXPECT_EQ(au.count(1), 0);
-    EXPECT_EQ(au.count(3), 2);
-    EXPECT_EQ(au.additions(), 6);
-    EXPECT_EQ(au.window(), 2);
-
-    const auto values = au.scaledValues(2, 3.0f);
-    EXPECT_FLOAT_EQ(values[0], 3.0f);  // 2/2 * 3
-    EXPECT_FLOAT_EQ(values[7], 1.5f);  // 1/2 * 3
-}
-
-TEST(Accumulator, ResetClears)
-{
-    AccumulatorUnit au(4);
-    au.accumulate({1, 1, 1, 1});
-    au.reset();
-    EXPECT_EQ(au.count(0), 0);
-    EXPECT_EQ(au.additions(), 0);
-    EXPECT_EQ(au.window(), 0);
-}
-
-TEST(Accumulator, SaturatesAtRegisterWidth)
-{
-    AccumulatorUnit au(1);
-    for (int i = 0; i < AccumulatorUnit::kMaxCount + 100; ++i)
-        au.accumulate({1});
-    EXPECT_EQ(au.count(0), AccumulatorUnit::kMaxCount);
-}
-
-TEST(Accumulator, RejectsWideInput)
-{
-    AccumulatorUnit au(2);
-    EXPECT_DEATH({ au.accumulate({1, 1, 1}); }, "wider than AU lanes");
 }
 
 TEST(ChipAnn, MatchesFunctionalQuantizedNetwork)
@@ -285,6 +244,49 @@ convertedModel(const std::string &name, const SyntheticDigits &data)
     return convertToSnn(net, data.firstImages(12));
 }
 
+/** A seeded untrained mlp3 or lenet5, quantized on 16 px digits. */
+struct QuantizedModel
+{
+    Network net;
+    QuantizationResult quant;
+};
+
+QuantizedModel
+quantizedModel(const std::string &name, const SyntheticDigits &data)
+{
+    QuantizedModel m{name == "lenet5" ? buildLenet5(16, 1, 10, /*seed=*/41)
+                                      : buildMlp3(16, 1, 10, /*seed=*/41),
+                     {}};
+    m.quant = quantizeNetwork(m.net, data.firstImages(12));
+    return m;
+}
+
+/** Every ChipStats total of two chips, energies included, bit for bit. */
+void
+expectSameStats(const ChipStats &a, const ChipStats &b)
+{
+    EXPECT_EQ(a.crossbarEvals, b.crossbarEvals);
+    EXPECT_EQ(a.adcConversions, b.adcConversions);
+    EXPECT_EQ(a.spikes, b.spikes);
+    EXPECT_EQ(a.crossbarEnergy, b.crossbarEnergy);
+    EXPECT_EQ(a.nocPackets, b.nocPackets);
+    EXPECT_EQ(a.nocEnergy, b.nocEnergy);
+    EXPECT_EQ(a.abftChecks, b.abftChecks);
+    EXPECT_EQ(a.abftViolations, b.abftViolations);
+}
+
+/** Begin events named @p name across every track of @p session. */
+long long
+countSpans(const obs::TraceSession &session, const std::string &name)
+{
+    long long n = 0;
+    for (const auto &track : session.tracks())
+        for (const obs::TraceEvent &e : track.events)
+            if (e.phase == obs::TraceEvent::Phase::Begin && e.name == name)
+                ++n;
+    return n;
+}
+
 NebulaConfig
 abftConfig()
 {
@@ -394,6 +396,38 @@ TEST(ChipSnn, TracingKeepsThePath)
                     ++layer_evals;
         EXPECT_EQ(layer_evals, 2LL * kT * traced.mappedLayerCount());
     }
+
+    // The ANN program runs the same stage loop: one layer.eval span per
+    // mapped layer per image.
+    for (const char *model_name : {"mlp3", "lenet5"}) {
+        SCOPED_TRACE(std::string("ann ") + model_name);
+        QuantizedModel plain_model = quantizedModel(model_name, data);
+        QuantizedModel traced_model = quantizedModel(model_name, data);
+        NebulaChip plain(abftConfig());
+        NebulaChip traced(abftConfig());
+        plain.programAnn(plain_model.net, plain_model.quant);
+        traced.programAnn(traced_model.net, traced_model.quant);
+
+        obs::TraceSession::start();
+        std::vector<Tensor> traced_logits;
+        for (int i = 0; i < 2; ++i)
+            traced_logits.push_back(traced.runAnn(data.image(i)));
+        const std::unique_ptr<obs::TraceSession> session =
+            obs::TraceSession::stop();
+
+        for (int i = 0; i < 2; ++i) {
+            const Tensor want = plain.runAnn(data.image(i));
+            const Tensor &got = traced_logits[static_cast<size_t>(i)];
+            ASSERT_EQ(got.size(), want.size());
+            for (long long k = 0; k < want.size(); ++k)
+                EXPECT_EQ(got[k], want[k]);
+        }
+        expectSameStats(traced.stats(), plain.stats());
+        EXPECT_GT(traced.stats().abftChecks, 0);
+        ASSERT_NE(session, nullptr);
+        EXPECT_EQ(countSpans(*session, "layer.eval"),
+                  2LL * traced.mappedLayerCount());
+    }
 }
 
 TEST(Chip, RequiresProgramBeforeRun)
@@ -402,6 +436,18 @@ TEST(Chip, RequiresProgramBeforeRun)
     Tensor image({1, 12, 12});
     EXPECT_DEATH({ chip.runAnn(image); }, "no ANN programmed");
     EXPECT_DEATH({ chip.runSnn(image, 10); }, "no SNN programmed");
+
+    // Programming one mode does not arm the other mode's run.
+    SyntheticDigits data(4, 16, 95);
+    SpikingModel model = convertedModel("mlp3", data);
+    NebulaChip snn_chip;
+    snn_chip.programSnn(model);
+    EXPECT_DEATH({ snn_chip.runAnn(data.image(0)); }, "no ANN programmed");
+    QuantizedModel ann = quantizedModel("mlp3", data);
+    NebulaChip ann_chip;
+    ann_chip.programAnn(ann.net, ann.quant);
+    EXPECT_DEATH({ ann_chip.runSnn(data.image(0), 10); },
+                 "no SNN programmed");
 }
 
 } // namespace
