@@ -11,8 +11,8 @@
  * called directly, each repetition interleaved with a fixed calibration
  * kernel built like the crossbar kernels, best of many on every CPU in
  * turn. The recorded `ann.images_per_calib` / `snn.images_per_calib`
- * (mlp3) and `ann_conv.images_per_calib` (LeNet-5) are images served in
- * one calibration-kernel time: host speed divides out, so CI can
+ * (mlp3) and `ann_conv.images_per_calib` / `snn_conv.images_per_calib`
+ * (LeNet-5) are images served in one calibration-kernel time: host speed divides out, so CI can
  * regress on them, and a chip that does more work per image shows as
  * a drop.
  *
@@ -296,12 +296,15 @@ printChipSpeedStudy()
     const int snn_timesteps = 16;
     const int ann_images = tiny ? 24 : 128;
     const int conv_images = tiny ? 8 : 32;
+    const int snn_conv_images = tiny ? 4 : 16;
 
     Table table("Single-thread chip speed (SNN " +
                     std::to_string(snn_images) + " images x T=" +
                     std::to_string(snn_timesteps) + ", ANN " +
                     std::to_string(ann_images) + " images, conv ANN " +
-                    std::to_string(conv_images) + " images)",
+                    std::to_string(conv_images) + " images, conv SNN " +
+                    std::to_string(snn_conv_images) + " images x T=" +
+                    std::to_string(snn_timesteps) + ")",
                 {"mode", "images/sec", "images/calib"});
 
     Network clone = w.floatNet.clone();
@@ -339,10 +342,30 @@ printChipSpeedStudy()
                 conv_chip.runAnn(w.images[static_cast<size_t>(i)]).data());
     });
 
+    // The SNN conv path (per-window crossbar reads of spike windows):
+    // the same seeded LeNet-5, converted on the same images.
+    Network lenet_float = buildLenet5(16, 1, 10, /*seed=*/13);
+    SpikingModel lenet_snn =
+        convertToSnn(lenet_float, w.data.firstImages(8));
+    NebulaChip snn_conv_chip;
+    snn_conv_chip.programSnn(lenet_snn);
+    const CalibratedRate snn_conv_rate =
+        measureCalibrated(snn_conv_images, [&] {
+            for (int i = 0; i < snn_conv_images; ++i)
+                benchmark::DoNotOptimize(
+                    snn_conv_chip
+                        .runSnn(w.images[static_cast<size_t>(i)],
+                                snn_timesteps,
+                                deriveRequestSeed(1, static_cast<uint64_t>(i)))
+                        .totalSpikes);
+        });
+
     for (const auto &[mode, rate] :
          {std::pair<const char *, CalibratedRate>{"snn", snn_rate},
           std::pair<const char *, CalibratedRate>{"ann", ann_rate},
-          std::pair<const char *, CalibratedRate>{"ann_conv", conv_rate}}) {
+          std::pair<const char *, CalibratedRate>{"ann_conv", conv_rate},
+          std::pair<const char *, CalibratedRate>{"snn_conv",
+                                                  snn_conv_rate}}) {
         const std::string prefix = mode;
         bench::record(prefix + ".images_per_sec", rate.imagesPerSec);
         bench::record(prefix + ".images_per_calib", rate.imagesPerCalib);
