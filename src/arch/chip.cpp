@@ -406,6 +406,23 @@ NebulaChip::emitGroup(MappedLayer &layer, size_t g, double *currents,
                 bias[j]);
 }
 
+void
+NebulaChip::readGroup(MappedLayer &layer, size_t g,
+                      const std::vector<double> *window, float *out,
+                      size_t stride)
+{
+    const CrossbarArray &xbar = *layer.groups[g];
+    CrossbarEval &eval = prog_.evalWs;
+    if (window != nullptr)
+        xbar.evaluateIdealInto(*window, config_.cycleTime, eval);
+    else
+        xbar.evaluateSparseInto(prog_.active, config_.cycleTime, eval);
+    ++stats_.crossbarEvals;
+    stats_.crossbarEnergy += eval.energy;
+    billCheck(stats_, eval.check);
+    emitGroup(layer, g, eval.currents.data(), 1, out, stride);
+}
+
 Tensor
 NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
                           bool binary)
@@ -441,63 +458,6 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
         norm[static_cast<size_t>(i) + 1] = x;
     }
 
-    /**
-     * Collect the ascending active-row list of a spike window for the
-     * sparse driver path. Returns false (dense fallback) if any nonzero
-     * entry is not exactly 1.0 -- e.g. fractional values downstream of
-     * an averaging layer -- since evaluateSparse assumes unit drivers.
-     */
-    auto binaryActive = [](const std::vector<double> &window,
-                           SpikeVector &active) {
-        active.clear();
-        for (size_t r = 0; r < window.size(); ++r) {
-            if (window[r] == 0.0)
-                continue;
-            if (window[r] != 1.0)
-                return false;
-            active.push_back(static_cast<int>(r));
-        }
-        return true;
-    };
-
-    // Output distance between kernels: 1, or the plane of a conv.
-    size_t out_stride = 1;
-    /**
-     * Evaluate column group @p g on one input window (driven by the
-     * @p active rows when given) and emit its outputs into
-     * out[k * out_stride] for each of its kernels k.
-     */
-    auto evalGroup = [&](size_t g, const std::vector<double> &window,
-                         const SpikeVector *active, float *out) {
-        CrossbarArray &xbar = *layer.groups[g];
-        CrossbarEval eval =
-            active != nullptr
-                ? xbar.evaluateSparse(*active, config_.cycleTime)
-                : xbar.evaluateIdeal(window, config_.cycleTime);
-        ++stats_.crossbarEvals;
-        stats_.crossbarEnergy += eval.energy;
-        billCheck(stats_, eval.check);
-        emitGroup(layer, g, eval.currents.data(), 1, out, out_stride);
-    };
-
-    /**
-     * Batched form of evalGroup: @p batch windows (row-major
-     * batch x rows) through one evaluateIdealBatch call, window b
-     * emitting into out[b + k * out_stride]. Each window's results are
-     * bit-identical to a separate evalGroup call -- only the matrix
-     * traffic is amortized.
-     */
-    auto evalGroupBatch = [&](size_t g, const std::vector<double> &windows,
-                              int batch, float *out) {
-        CrossbarBatchEval eval = layer.groups[g]->evaluateIdealBatch(
-            windows, batch, config_.cycleTime);
-        stats_.crossbarEvals += batch;
-        stats_.crossbarEnergy += eval.energy;
-        for (const CrossbarCheck &check : eval.checks)
-            billCheck(stats_, check);
-        emitGroup(layer, g, eval.currents.data(), batch, out, out_stride);
-    };
-
     const int kernels = src.numKernels();
     Tensor output;
 
@@ -506,12 +466,9 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
         NEBULA_ASSERT(input.size() == fc.inFeatures(),
                       "linear input mismatch on chip");
         const std::vector<double> window(in, in + input.size());
-        SpikeVector active;
-        const SpikeVector *spikes =
-            binary && binaryActive(window, active) ? &active : nullptr;
         output = Tensor({1, kernels});
         for (size_t g = 0; g < groups; ++g)
-            evalGroup(g, window, spikes, output.data());
+            readGroup(layer, g, &window, output.data(), 1);
     } else if (src.kind() == LayerKind::Conv ||
                src.kind() == LayerKind::DwConv) {
         const bool dw = src.kind() == LayerKind::DwConv;
@@ -531,7 +488,6 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
 
         output = Tensor({1, kernels, out_h, out_w});
         float *out_p = output.data();
-        out_stride = plane;
 
         // im2col tables: the input offset of every window element,
         // window after window in output raster order, -1 where a window
@@ -570,39 +526,46 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
             layer.gatherW = in_w;
         }
         // Gather @p count consecutive windows of group @p g from window
-        // @p first on; true if the group has its own table (or is the
-        // first), i.e. the windows changed.
+        // @p first on. A Conv's groups share group 0's windows, so only
+        // a DwConv group past the first gathers again.
         std::vector<double> windows;
         auto gatherWindows = [&](size_t g, size_t first, int count) {
             if (!dw && g > 0)
-                return false;
+                return;
             const size_t rows = static_cast<size_t>(layer.groups[g]->rows());
             const int *idx = layer.gather[g].data() + first * rows;
             windows.resize(static_cast<size_t>(count) * rows);
             for (size_t e = 0; e < windows.size(); ++e)
                 windows[e] = in[idx[e]];
-            return true;
         };
 
         if (!binary) {
             // ANN mode: batch one output row of windows per crossbar
             // call so the cached conductance matrix streams once per
-            // out_w windows instead of once per window.
+            // out_w windows instead of once per window. Each window's
+            // results are bit-identical to its own readGroup call.
             for (int oh = 0; oh < out_h; ++oh)
                 for (size_t g = 0; g < groups; ++g) {
                     const size_t first = static_cast<size_t>(oh) * out_w;
                     gatherWindows(g, first, out_w);
-                    evalGroupBatch(g, windows, out_w, out_p + first);
+                    CrossbarBatchEval eval =
+                        layer.groups[g]->evaluateIdealBatch(
+                            windows, out_w, config_.cycleTime);
+                    stats_.crossbarEvals += out_w;
+                    stats_.crossbarEnergy += eval.energy;
+                    for (const CrossbarCheck &check : eval.checks)
+                        billCheck(stats_, check);
+                    emitGroup(layer, g, eval.currents.data(), out_w,
+                              out_p + first, plane);
                 }
         } else {
-            SpikeVector active;
-            const SpikeVector *spikes = nullptr;
+            // SNN mode: one spike window at a time. Its dark rows are
+            // skipped and the rest driven at clamp(1.0) * V == V, so
+            // the dense read is the spike driver's read bit for bit.
             for (size_t pos = 0; pos < plane; ++pos)
                 for (size_t g = 0; g < groups; ++g) {
-                    if (gatherWindows(g, pos, 1))
-                        spikes =
-                            binaryActive(windows, active) ? &active : nullptr;
-                    evalGroup(g, windows, spikes, out_p + pos);
+                    gatherWindows(g, pos, 1);
+                    readGroup(layer, g, &windows, out_p + pos, plane);
                 }
         }
     } else {
@@ -681,15 +644,8 @@ NebulaChip::runSparseStage(Stage &stage)
     MappedLayer &layer = layers_[stage.mapped];
     obs::TraceSpan span("chip", "layer.eval");
     span.arg("layer", static_cast<double>(layer.map.layerIndex));
-    CrossbarEval &eval = prog_.evalWs;
-    for (size_t g = 0; g < layer.groups.size(); ++g) {
-        layer.groups[g]->evaluateSparseInto(prog_.active, config_.cycleTime,
-                                            eval);
-        ++stats_.crossbarEvals;
-        stats_.crossbarEnergy += eval.energy;
-        billCheck(stats_, eval.check);
-        emitGroup(layer, g, eval.currents.data(), 1, stage.out.data(), 1);
-    }
+    for (size_t g = 0; g < layer.groups.size(); ++g)
+        readGroup(layer, g, nullptr, stage.out.data(), 1);
     span.arg("crossbar_evals", static_cast<double>(layer.groups.size()));
 }
 

@@ -239,6 +239,16 @@ class NebulaChip
                    int batch, float *out, size_t stride);
 
     /**
+     * Read column group @p g of @p layer into the program's result
+     * workspace -- driven by the dense @p window, or by the active-row
+     * list when @p window is null -- bill the evaluation and emit its
+     * outputs into out[k * stride] for each kernel k of the group.
+     */
+    void readGroup(MappedLayer &layer, size_t g,
+                   const std::vector<double> *window, float *out,
+                   size_t stride);
+
+    /**
      * One step of the compiled stage list. The kind is fixed at program
      * time from the topology, never by an option:
      *  - Sparse (SNN): a Linear whose input is the encoder's or an IF

@@ -13,52 +13,26 @@ namespace nebula {
 namespace {
 
 /**
- * Accumulate four crossbar rows into the per-column current totals.
- * Each column's partial sum stays in a register across the four adds
- * instead of round-tripping through memory once per row, and the adds
- * still happen in ascending row order per column -- bit-identical to
- * four passes of accumulateRow().
- */
-NEBULA_TARGET_CLONES void
-accumulateRows4(double *out, int cols, double v, const double *r0,
-                const double *r1, const double *r2, const double *r3)
-{
-    for (int j = 0; j < cols; ++j) {
-        double s = out[j];
-        s += v * r0[j];
-        s += v * r1[j];
-        s += v * r2[j];
-        s += v * r3[j];
-        out[j] = s;
-    }
-}
-
-/** Accumulate one crossbar row into the per-column current totals. */
-NEBULA_TARGET_CLONES void
-accumulateRow(double *out, int cols, double v, const double *row)
-{
-    for (int j = 0; j < cols; ++j)
-        out[j] += v * row[j];
-}
-
-/**
- * Register-tiled single-window kernel: one tile of up to 16 column
+ * Register-tiled single-window kernel: one tile of 16 column
  * accumulators lives in registers across the whole active-row walk, so
  * the inner loop issues one conductance load per 4 columns instead of a
  * load+store round-trip on the output row per crossbar row. Each
  * column's partial sum still grows in ascending active-row order --
- * bit-identical to a row-major accumulateRow walk -- because FP
- * addition order per output element is unchanged; only where the
- * partial lives (register vs memory) differs.
+ * bit-identical to the naive row walk -- because FP addition order per
+ * output element is unchanged; only where the partial lives (register
+ * vs memory) differs. The tile always runs at full width: the padded
+ * cache row holds zeros past the last column, and only the @p width
+ * real columns are stored.
  *
- * @param dense   Dense conductance cache, row-major with @p stride.
+ * @param dense   Padded conductance cache, row-major with @p stride.
  * @param active  Ascending row indices with nonzero drive voltage.
  * @param va      Drive voltage per active row (parallel to @p active).
  * @param out     Output columns [j0, j0+width); width <= 16.
  */
 NEBULA_TARGET_CLONES void
 soloColsTile16(const double *dense, size_t stride, const int *active,
-               int n_active, const double *va, int j0, double *out)
+               int n_active, const double *va, int j0, int width,
+               double *out)
 {
     // Two 8-wide accumulator streams rather than one flat 16-element
     // tile: this is the loop shape GCC's vectorizer reliably maps onto
@@ -74,28 +48,9 @@ soloColsTile16(const double *dense, size_t stride, const int *active,
             acc1[t] += v * g[8 + t];
         }
     }
-    for (int t = 0; t < 8; ++t) {
-        out[j0 + t] = acc0[t];
-        out[j0 + 8 + t] = acc1[t];
-    }
-}
-
-/** Remainder-width variant of soloColsTile16 (width < 16). */
-NEBULA_TARGET_CLONES void
-soloColsTileN(const double *dense, size_t stride, const int *active,
-              int n_active, const double *va, int j0, int width,
-              double *out)
-{
-    double acc[16] = {};
-    for (int a = 0; a < n_active; ++a) {
-        const double v = va[a];
-        const double *g =
-            dense + static_cast<size_t>(active[a]) * stride + j0;
-        for (int t = 0; t < width; ++t)
-            acc[t] += v * g[t];
-    }
-    for (int t = 0; t < width; ++t)
-        out[j0 + t] = acc[t];
+    std::copy_n(acc0, std::min(width, 8), out + j0);
+    if (width > 8)
+        std::copy_n(acc1, width - 8, out + j0 + 8);
 }
 
 /**
@@ -107,7 +62,8 @@ soloColsTileN(const double *dense, size_t stride, const int *active,
  * sum still grows in ascending active-row order, and rows every window
  * leaves dark are skipped -- a zero drive voltage only ever contributes
  * an exact +0.0 to the non-negative partials -- so every window remains
- * bit-identical to a standalone accumulateRow walk.
+ * bit-identical to a standalone soloColsTile16 walk. Like the solo
+ * tile it runs at full width over the padded row.
  *
  * @param active Ascending row indices where at least one window drives.
  * @param va     Packed per-active-row voltages: va[4*a + w] for window w.
@@ -116,8 +72,8 @@ soloColsTileN(const double *dense, size_t stride, const int *active,
  */
 NEBULA_TARGET_CLONES void
 windowColsTile4x8(const double *dense, size_t stride, const int *active,
-                  int n_active, const double *va, int j0, double *out,
-                  size_t out_stride)
+                  int n_active, const double *va, int j0, int width,
+                  double *out, size_t out_stride)
 {
     double acc[4][8] = {};
     for (int a = 0; a < n_active; ++a) {
@@ -136,44 +92,15 @@ windowColsTile4x8(const double *dense, size_t stride, const int *active,
         }
     }
     for (int w = 0; w < 4; ++w)
-        for (int t = 0; t < 8; ++t)
-            out[static_cast<size_t>(w) * out_stride + j0 + t] =
-                acc[w][t];
-}
-
-/** Remainder-width variant of windowColsTile4x8 (width < 8). */
-NEBULA_TARGET_CLONES void
-windowColsTile4xN(const double *dense, size_t stride, const int *active,
-                  int n_active, const double *va, int j0, int width,
-                  double *out, size_t out_stride)
-{
-    double acc[4][8] = {};
-    for (int a = 0; a < n_active; ++a) {
-        const double v0 = va[4 * a + 0];
-        const double v1 = va[4 * a + 1];
-        const double v2 = va[4 * a + 2];
-        const double v3 = va[4 * a + 3];
-        const double *g =
-            dense + static_cast<size_t>(active[a]) * stride + j0;
-        for (int t = 0; t < width; ++t) {
-            const double gg = g[t];
-            acc[0][t] += v0 * gg;
-            acc[1][t] += v1 * gg;
-            acc[2][t] += v2 * gg;
-            acc[3][t] += v3 * gg;
-        }
-    }
-    for (int w = 0; w < 4; ++w)
-        for (int t = 0; t < width; ++t)
-            out[static_cast<size_t>(w) * out_stride + j0 + t] =
-                acc[w][t];
+        std::copy_n(acc[w], width,
+                    out + static_cast<size_t>(w) * out_stride + j0);
 }
 
 /**
  * Reference-column current and ohmic power of four windows at once:
  * per window w, ref[w] += v * refCol[i] and power[w] += v * v *
- * rowGsum[i] over the active rows in ascending order -- the chains of
- * evaluateIdeal(), interleaved so they no longer wait on each other.
+ * rowGsum[i] over the active rows in ascending order -- the solo read's
+ * chains, interleaved so they no longer wait on each other.
  *
  * @param va Packed per-active-row voltages: va[4*a + w] for window w.
  */
@@ -710,7 +637,7 @@ CrossbarArray::maxColumnCurrent() const
     return p_.readVoltage * cell_.conductanceP() * p_.rows;
 }
 
-const CrossbarArray::EvalCache &
+CrossbarArray::EvalCache &
 CrossbarArray::evalCache() const
 {
     EvalCache &c = cache_;
@@ -720,13 +647,15 @@ CrossbarArray::evalCache() const
     const int rows = p_.rows;
     const int cols = p_.cols;
     const int ref = physicalDataCols();
-    c.dense.resize(static_cast<size_t>(rows) * cols);
+    // Rows padded to whole 16-column tiles; the padding cells stay 0.
+    c.stride = (static_cast<size_t>(cols) + 15) / 16 * 16;
+    c.dense.assign(static_cast<size_t>(rows) * c.stride, 0.0);
     c.refCol.resize(static_cast<size_t>(rows));
     c.rowGsum.resize(static_cast<size_t>(rows));
     for (int i = 0; i < rows; ++i) {
         const double *row =
             &conductance_[static_cast<size_t>(i) * physicalStride()];
-        double *dense = &c.dense[static_cast<size_t>(i) * cols];
+        double *dense = &c.dense[static_cast<size_t>(i) * c.stride];
         // Summation order (logical columns, then reference) matches
         // testing::referenceIdeal, so the energy term is bit-identical.
         double row_g = 0.0;
@@ -763,156 +692,103 @@ CrossbarArray::evalCache() const
             }
         }
     }
+    c.active.resize(static_cast<size_t>(rows));
+    c.va.resize(static_cast<size_t>(rows) * 4);
     c.valid = true;
     return c;
+}
+
+void
+CrossbarArray::readWindow(const int *active, int n_active, double duration,
+                          CrossbarEval &eval) const
+{
+    const EvalCache &c = cache_;
+    const int cols = p_.cols;
+    eval.currents.resize(static_cast<size_t>(cols));
+    double *out = eval.currents.data();
+    for (int j = 0; j < cols; j += 16)
+        soloColsTile16(c.dense.data(), c.stride, active, n_active,
+                       c.va.data(), j, std::min(16, cols - j), out);
+
+    // Reference column and dissipation (and the checksum current and
+    // sum of v^2 under ABFT): ascending active-row chains, split from
+    // the column-current walk.
+    ReadChains chains;
+    for (int a = 0; a < n_active; ++a) {
+        const double v = c.va[static_cast<size_t>(a)];
+        const size_t i = static_cast<size_t>(active[a]);
+        chains.ref += v * c.refCol[i];
+        chains.power += v * v * c.rowGsum[i];
+    }
+    if (p_.abft) {
+        for (int a = 0; a < n_active; ++a) {
+            const double v = c.va[static_cast<size_t>(a)];
+            chains.chk += v * c.chkCol[static_cast<size_t>(active[a])];
+            chains.vsq += v * v;
+        }
+    }
+    eval.energy = finishWindow(chains, duration, out, eval.check);
+}
+
+double
+CrossbarArray::finishWindow(const ReadChains &chains, double duration,
+                            double *currents, CrossbarCheck &check) const
+{
+    const EvalCache &c = cache_;
+    for (int j = 0; j < p_.cols; ++j)
+        currents[j] -= chains.ref;
+    if (c.anyColOpen) {
+        for (int j = 0; j < p_.cols; ++j)
+            if (c.colOpen[static_cast<size_t>(j)])
+                currents[j] = 0.0;
+    }
+    check = p_.abft ? makeCheck(currents, chains.chk, chains.ref, chains.vsq)
+                    : CrossbarCheck{};
+    return chains.power * duration;
 }
 
 CrossbarEval
 CrossbarArray::evaluateIdeal(const std::vector<double> &inputs,
                              double duration) const
 {
-    NEBULA_ASSERT(inputs.size() == static_cast<size_t>(p_.rows),
-                  "input vector size mismatch");
-    const EvalCache &c = evalCache();
-    const int cols = p_.cols;
     CrossbarEval eval;
-    eval.currents.assign(cols, 0.0);
-
-    // Active-row gather: the tiles below walk only driven rows.
-    std::vector<int> active;
-    std::vector<double> va;
-    active.reserve(static_cast<size_t>(p_.rows));
-    va.reserve(static_cast<size_t>(p_.rows));
-    for (int i = 0; i < p_.rows; ++i) {
-        const double v = std::clamp(inputs[i], 0.0, 1.0) * p_.readVoltage;
-        if (v == 0.0)
-            continue;
-        active.push_back(i);
-        va.push_back(v);
-    }
-    const int n_active = static_cast<int>(active.size());
-
-    // Column currents through the register-tiled kernel: per column the
-    // partial sum accumulates in ascending row order, so results stay
-    // bit-identical to the naive reference walk.
-    double *out = eval.currents.data();
-    int j = 0;
-    for (; j + 16 <= cols; j += 16)
-        soloColsTile16(c.dense.data(), static_cast<size_t>(cols),
-                       active.data(), n_active, va.data(), j, out);
-    if (j < cols)
-        soloColsTileN(c.dense.data(), static_cast<size_t>(cols),
-                      active.data(), n_active, va.data(), j, cols - j,
-                      out);
-
-    // Reference column and dissipation: ascending-row accumulation
-    // chains, split from the column-current walk.
-    double ref_current = 0.0;
-    double power = 0.0;
-    for (int a = 0; a < n_active; ++a) {
-        const double v = va[static_cast<size_t>(a)];
-        const size_t i = static_cast<size_t>(active[static_cast<size_t>(a)]);
-        ref_current += v * c.refCol[i];
-        power += v * v * c.rowGsum[i];
-    }
-    for (auto &current : eval.currents)
-        current -= ref_current;
-    if (c.anyColOpen) {
-        for (int j = 0; j < cols; ++j)
-            if (c.colOpen[static_cast<size_t>(j)])
-                eval.currents[static_cast<size_t>(j)] = 0.0;
-    }
-    eval.energy = power * duration;
-    if (p_.abft) {
-        // Checksum read-out: same ascending active-row chain as the
-        // reference column.
-        double chk_current = 0.0;
-        double vsq = 0.0;
-        for (int a = 0; a < n_active; ++a) {
-            const double v = va[static_cast<size_t>(a)];
-            const size_t i =
-                static_cast<size_t>(active[static_cast<size_t>(a)]);
-            chk_current += v * c.chkCol[i];
-            vsq += v * v;
-        }
-        eval.check =
-            makeCheck(eval.currents.data(), chk_current, ref_current, vsq);
-    }
+    evaluateIdealInto(inputs, duration, eval);
     return eval;
 }
 
-CrossbarEval
-CrossbarArray::evaluateSparse(const SpikeVector &active,
-                              double duration) const
+void
+CrossbarArray::evaluateIdealInto(const std::vector<double> &inputs,
+                                 double duration, CrossbarEval &eval) const
 {
-    CrossbarEval eval;
-    evaluateSparseInto(active, duration, eval);
-    return eval;
+    NEBULA_ASSERT(inputs.size() == static_cast<size_t>(p_.rows),
+                  "input vector size mismatch");
+    EvalCache &c = evalCache();
+    // Active-row gather by branch-free compaction: every row is written
+    // at the next slot, which advances only if the row is driven.
+    int n_active = 0;
+    for (int i = 0; i < p_.rows; ++i) {
+        const double v = std::clamp(inputs[i], 0.0, 1.0) * p_.readVoltage;
+        c.active[static_cast<size_t>(n_active)] = i;
+        c.va[static_cast<size_t>(n_active)] = v;
+        n_active += v != 0.0;
+    }
+    readWindow(c.active.data(), n_active, duration, eval);
 }
 
 void
 CrossbarArray::evaluateSparseInto(const SpikeVector &active,
                                   double duration, CrossbarEval &eval) const
 {
-    const EvalCache &c = evalCache();
-    const int cols = p_.cols;
-    const double v = p_.readVoltage;
-    eval.currents.assign(cols, 0.0);
-
-    double ref_current = 0.0;
-    double power = 0.0;
-    double *out = eval.currents.data();
-    const size_t n_active = active.size();
-    size_t a = 0;
-    for (; a + 4 <= n_active; a += 4) {
-        const int i0 = active[a], i1 = active[a + 1];
-        const int i2 = active[a + 2], i3 = active[a + 3];
-        NEBULA_ASSERT(i0 >= 0 && i3 < p_.rows, "active row out of range");
-        accumulateRows4(out, cols, v,
-                        &c.dense[static_cast<size_t>(i0) * cols],
-                        &c.dense[static_cast<size_t>(i1) * cols],
-                        &c.dense[static_cast<size_t>(i2) * cols],
-                        &c.dense[static_cast<size_t>(i3) * cols]);
-        ref_current += v * c.refCol[static_cast<size_t>(i0)];
-        ref_current += v * c.refCol[static_cast<size_t>(i1)];
-        ref_current += v * c.refCol[static_cast<size_t>(i2)];
-        ref_current += v * c.refCol[static_cast<size_t>(i3)];
-        power += v * v * c.rowGsum[static_cast<size_t>(i0)];
-        power += v * v * c.rowGsum[static_cast<size_t>(i1)];
-        power += v * v * c.rowGsum[static_cast<size_t>(i2)];
-        power += v * v * c.rowGsum[static_cast<size_t>(i3)];
+    EvalCache &c = evalCache();
+    const int n_active = static_cast<int>(active.size());
+    NEBULA_ASSERT(n_active <= p_.rows, "more active rows than rows");
+    for (int a = 0; a < n_active; ++a) {
+        NEBULA_ASSERT(active[static_cast<size_t>(a)] >= 0 &&
+                          active[static_cast<size_t>(a)] < p_.rows,
+                      "active row out of range");
+        c.va[static_cast<size_t>(a)] = p_.readVoltage;
     }
-    for (; a < n_active; ++a) {
-        const int i = active[a];
-        NEBULA_ASSERT(i >= 0 && i < p_.rows, "active row out of range");
-        accumulateRow(out, cols, v,
-                      &c.dense[static_cast<size_t>(i) * cols]);
-        ref_current += v * c.refCol[static_cast<size_t>(i)];
-        power += v * v * c.rowGsum[static_cast<size_t>(i)];
-    }
-    for (auto &current : eval.currents)
-        current -= ref_current;
-    if (c.anyColOpen) {
-        for (int j = 0; j < cols; ++j)
-            if (c.colOpen[static_cast<size_t>(j)])
-                eval.currents[static_cast<size_t>(j)] = 0.0;
-    }
-    eval.energy = power * duration;
-    eval.check = CrossbarCheck{};
-    if (p_.abft) {
-        // Separate ascending walk keeps the hot accumulation loop
-        // above untouched; the chain order matches evaluateIdeal on
-        // the densified vector, so verdicts stay bit-identical.
-        double chk_current = 0.0;
-        double vsq = 0.0;
-        for (size_t k = 0; k < n_active; ++k) {
-            chk_current +=
-                v * c.chkCol[static_cast<size_t>(active[k])];
-            vsq += v * v;
-        }
-        eval.check =
-            makeCheck(eval.currents.data(), chk_current, ref_current, vsq);
-    }
+    readWindow(active.data(), n_active, duration, eval);
 }
 
 CrossbarBatchEval
@@ -927,7 +803,7 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
     const int cols = p_.cols;
     const int rows = p_.rows;
     CrossbarBatchEval eval;
-    const EvalCache &c = evalCache();
+    EvalCache &c = evalCache();
     // Windows go in groups of four; a short last group is padded with
     // dark windows whose output rows are dropped before returning.
     const int padded = (batch + 3) / 4 * 4;
@@ -939,24 +815,24 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
     // Register-tiled groups of four windows (the batched GEMM-style
     // path): gather the rows at least one window drives, pack the four
     // drive voltages per active row (the exact clamp + supply
-    // expression of evaluateIdeal()), then walk column tiles whose 4x8
-    // accumulator block lives in registers across the whole row walk.
-    // Per (window, column) the partial sum still grows in ascending row
-    // order -- a dark row only ever contributes an exact +-0.0 to a
-    // partial that is never -0.0 -- so each window stays bit-identical
-    // to a standalone evaluateIdeal. Image windows share a lot of dark
-    // rows (blank borders, post-ReLU zeros), so the shared active list
-    // also skips most of the work the solo path skips.
+    // expression of evaluateIdealInto()), then walk column tiles whose
+    // 4x8 accumulator block lives in registers across the whole row
+    // walk. Per (window, column) the partial sum still grows in
+    // ascending row order -- a dark row only ever contributes an exact
+    // +-0.0 to a partial that is never -0.0 -- so each window stays
+    // bit-identical to a standalone evaluateIdeal. Image windows share
+    // a lot of dark rows (blank borders, post-ReLU zeros), so the
+    // shared active list also skips most of the work the solo path
+    // skips.
     const double supply = p_.readVoltage;
-    std::vector<int> active(static_cast<size_t>(rows));
-    std::vector<double> va(static_cast<size_t>(rows) * 4);
+    int *active = c.active.data();
+    double *va = c.va.data();
     for (int b = 0; b < batch; b += 4) {
         const double *w[4];
         for (int l = 0; l < 4; ++l)
             w[l] = b + l < batch ? &inputs[static_cast<size_t>(b + l) * rows]
                                  : dark.data();
-        // Branch-free compaction: every row is written at the next
-        // slot, which advances only if some window drives the row.
+        // Branch-free compaction, as in evaluateIdealInto().
         int n_active = 0;
         for (int i = 0; i < rows; ++i) {
             const double v0 = std::clamp(w[0][i], 0.0, 1.0) * supply;
@@ -968,42 +844,33 @@ CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
             v[1] = v1;
             v[2] = v2;
             v[3] = v3;
-            active[static_cast<size_t>(n_active)] = i;
+            active[n_active] = i;
             n_active +=
                 (v0 != 0.0) | (v1 != 0.0) | (v2 != 0.0) | (v3 != 0.0);
         }
         double *out = &eval.currents[static_cast<size_t>(b) * cols];
-        int j = 0;
-        for (; j + 8 <= cols; j += 8)
-            windowColsTile4x8(c.dense.data(), static_cast<size_t>(cols),
-                              active.data(), n_active, va.data(), j, out,
+        for (int j = 0; j < cols; j += 8)
+            windowColsTile4x8(c.dense.data(), c.stride, active, n_active, va,
+                              j, std::min(8, cols - j), out,
                               static_cast<size_t>(cols));
-        if (j < cols)
-            windowColsTile4xN(c.dense.data(), static_cast<size_t>(cols),
-                              active.data(), n_active, va.data(), j,
-                              cols - j, out, static_cast<size_t>(cols));
 
-        // Reference current and dissipation of the four windows (and
-        // their checksum current and sum of v^2 under ABFT): one
-        // chain per window, run side by side over the same active
-        // rows in ascending order, so each matches the solo chain.
-        double ref[4], power[4], chk[4], vsq[4];
-        windowChains4(active.data(), n_active, va.data(), c.refCol.data(),
+        // The four windows' chains: one per window, run side by side
+        // over the same active rows in ascending order, so each matches
+        // the solo chain.
+        double ref[4], power[4], chk[4] = {}, vsq[4] = {};
+        windowChains4(active, n_active, va, c.refCol.data(),
                       c.rowGsum.data(), ref, power);
         if (p_.abft)
-            windowChecksum4(active.data(), n_active, va.data(),
-                            c.chkCol.data(), chk, vsq);
+            windowChecksum4(active, n_active, va, c.chkCol.data(), chk,
+                            vsq);
         for (int l = 0; l < 4 && b + l < batch; ++l) {
-            double *win = out + static_cast<size_t>(l) * cols;
-            for (int col = 0; col < cols; ++col) {
-                win[col] -= ref[l];
-                if (c.anyColOpen && c.colOpen[static_cast<size_t>(col)])
-                    win[col] = 0.0;
-            }
-            eval.energy += power[l] * duration;
+            CrossbarCheck check;
+            eval.energy += finishWindow({ref[l], power[l], chk[l], vsq[l]},
+                                        duration,
+                                        out + static_cast<size_t>(l) * cols,
+                                        check);
             if (p_.abft)
-                eval.checks.push_back(
-                    makeCheck(win, chk[l], ref[l], vsq[l]));
+                eval.checks.push_back(check);
         }
     }
     eval.currents.resize(static_cast<size_t>(batch) * cols);

@@ -24,16 +24,23 @@
  * Fast evaluation: the array keeps an EvalCache of derived read-path
  * state -- the logical-column (remap-resolved) dense conductance view,
  * the per-row reference conductance and total row conductance used for
- * energy accounting, the open-column mask, and the parasitic solver
- * workspace. The cache is invalidated whenever the programmed state can
- * change (program, injectFaults) and rebuilt lazily on the next
+ * energy accounting, the open-column mask, the read scratch (active
+ * rows and drive voltages) and the parasitic solver workspace. The
+ * cache is invalidated whenever the programmed state can change
+ * (program, injectFaults, updateCells) and rebuilt lazily on the next
  * evaluation, so the per-evaluation inner loop is a pure multiply-add
  * over a contiguous matrix with no remap gathers and no per-row
- * conductance re-summation. evaluateSparse() exploits SNN spike
- * sparsity by walking only the active rows of that view; results are
- * bit-identical to evaluateIdeal() on the densified spike vector. Every
- * evaluator has this one implementation; tests/differential_test.cpp
- * pins each to the naive reference model in src/testing.
+ * conductance re-summation. The dense view's rows are padded with
+ * zero cells to a multiple of 16 columns, so its two column kernels --
+ * a 1-window x 16-column tile and a 4-window x 8-column tile, both
+ * register-blocked -- always run at full width and store only the real
+ * columns. The 4-bit DAC read (evaluateIdeal), the 1-bit spike read
+ * (evaluateSparseInto) and the batched read (evaluateIdealBatch) all walk
+ * only the driven rows in ascending order and end in one per-window
+ * finish (reference subtract, open columns, energy, ABFT check), so a
+ * spike read is bit-identical to the dense read of its 0/1 vector and
+ * a batched window to its solo read. tests/differential_test.cpp pins
+ * each to the naive reference model in src/testing.
  *
  * Reliability: the array can carry an explicit FaultMap (stuck cells,
  * pinning drift, retention decay, line opens) injected before
@@ -219,6 +226,8 @@ class CrossbarArray
     /**
      * Evaluate the ideal dot product for normalized inputs in [0, 1]
      * (inputs are quantized to the driver resolution by the caller).
+     * Rows whose clamped input is 0 are skipped; the rest are driven at
+     * input * readVoltage. By-value form of evaluateIdealInto().
      *
      * @param inputs     One normalized voltage factor per row.
      * @param duration   Evaluation window (s), for energy accounting.
@@ -227,20 +236,20 @@ class CrossbarArray
                                double duration) const;
 
     /**
-     * Spike-driven sparse evaluation: only the rows listed in
-     * @p active (ascending row indices, each driven at full read
-     * voltage) contribute. Bit-identical to evaluateIdeal() on the
+     * evaluateIdeal() into a caller-owned result, so per-window inner
+     * loops reuse one allocation. The result always holds exactly
+     * cols() currents, and `check` is reset when abft is off.
+     */
+    void evaluateIdealInto(const std::vector<double> &inputs,
+                           double duration, CrossbarEval &eval) const;
+
+    /**
+     * Spike-driven read into a caller-owned result: only the rows
+     * listed in @p active (ascending row indices, each driven at full
+     * read voltage) contribute. Bit-identical to evaluateIdeal() on the
      * equivalent dense 0/1 vector, but the cost is linear in the number
      * of *active* rows -- the event-driven current-domain accumulation
      * the SNN mode's efficiency argument rests on.
-     */
-    CrossbarEval evaluateSparse(const SpikeVector &active,
-                                double duration) const;
-
-    /**
-     * evaluateSparse() into a caller-owned result, so per-timestep
-     * inner loops reuse one allocation; evaluateSparse() is this call
-     * on a fresh result.
      */
     void evaluateSparseInto(const SpikeVector &active, double duration,
                             CrossbarEval &eval) const;
@@ -313,8 +322,13 @@ class CrossbarArray
     {
         bool valid = false;
 
-        /** rows x cols remapped data conductances, logical order. */
+        /**
+         * rows x stride remapped data conductances, logical order; the
+         * cells past cols (stride is cols rounded up to a multiple of
+         * 16) are 0 and are never summed into rowGsum.
+         */
         std::vector<double> dense;
+        size_t stride = 0;
 
         /** Per-row reference-column conductance. */
         std::vector<double> refCol;
@@ -334,12 +348,45 @@ class CrossbarArray
         std::vector<uint8_t> colOpen;
         bool anyColOpen = false;
 
+        /**
+         * Read scratch: the active rows of one read and their drive
+         * voltages (rows entries; four per row for a batched group).
+         */
+        std::vector<int> active;
+        std::vector<double> va;
+
         /** Gauss-Seidel node-voltage workspace (parasitic solve). */
         std::vector<double> vr, vc, source;
     };
 
+    /** One read window's ascending active-row chains. */
+    struct ReadChains
+    {
+        double ref = 0.0;   //!< reference-column current (A)
+        double power = 0.0; //!< ohmic power over the driven rows (W)
+        double chk = 0.0;   //!< checksum-column current (abft only)
+        double vsq = 0.0;   //!< sum of v^2 over driven rows (abft only)
+    };
+
     /** The cache, built if stale. */
-    const EvalCache &evalCache() const;
+    EvalCache &evalCache() const;
+
+    /**
+     * One window's read over the @p n_active ascending rows in
+     * @p active, driven at the voltages in the cache's `va`: the solo
+     * column tile, the chains, then finishWindow().
+     */
+    void readWindow(const int *active, int n_active, double duration,
+                    CrossbarEval &eval) const;
+
+    /**
+     * Finish one read window: subtract the reference current from each
+     * of its cols() @p currents, zero the open columns and, under abft,
+     * compare the checksum into @p check (reset otherwise). Returns the
+     * window's energy over @p duration.
+     */
+    double finishWindow(const ReadChains &chains, double duration,
+                        double *currents, CrossbarCheck &check) const;
 
     /** Mark every derived view stale (programmed state changed). */
     void invalidateCache() { cache_.valid = false; }

@@ -1,8 +1,10 @@
 /**
  * @file
  * Function multi-versioning for the handful of numeric hot loops on the
- * fast evaluation paths (sparse crossbar accumulation, pre-activation
- * reconstruction).
+ * chip's evaluation paths: the two crossbar column kernels (the
+ * 1-window x 16-column solo tile every dense and spike read runs, and
+ * the 4-window x 8-column batch tile), the batched read's per-window
+ * chains, and the chip's group-output reconstruction (emitGroup).
  */
 
 #ifndef NEBULA_COMMON_SIMD_HPP

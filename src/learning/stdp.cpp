@@ -103,8 +103,8 @@ StdpClusterer::present(const Tensor &image, bool learn)
         encoder.encodeActive(input, active_);
         for (int i : active_)
             ++rowSpikes_[static_cast<size_t>(i)];
-        const CrossbarEval eval =
-            xbar_.evaluateSparse(active_, config_.readDuration);
+        CrossbarEval &eval = readWs_;
+        xbar_.evaluateSparseInto(active_, config_.readDuration, eval);
         readEnergy_ += eval.energy;
         for (int j = 0; j < clusters; ++j)
             stepIn_[static_cast<size_t>(j)] = static_cast<float>(

@@ -11,9 +11,9 @@
  * CrossbarArray::updateCells, so faults, remap and the pulse/energy
  * bill all apply to learning exactly as they do to programming.
  *
- * Sensing reuses the existing read path (evaluateSparse at the SNN read
- * voltage), which the device model treats as read-disturb-free: reads
- * never move the wall, so presenting a sample costs only ohmic read
+ * Sensing reuses the existing read path (evaluateSparseInto at the SNN
+ * read voltage), which the device model treats as read-disturb-free:
+ * reads never move the wall, so presenting a sample costs only ohmic read
  * energy. Deterministic under (config seed, presentation order).
  */
 
@@ -158,6 +158,7 @@ class StdpClusterer
     std::vector<int> rowSpikes_;
     std::vector<float> stepIn_, stepOut_;
     SpikeVector active_;
+    CrossbarEval readWs_; //!< crossbar read result, reused every step
     Tensor augmented_; //!< scratch ON/OFF-stacked input
 };
 

@@ -59,8 +59,11 @@ Conv2d::im2col(const Tensor &input, int n, std::vector<float> &col) const
     // col: (Cin*K*K) x (outH*outW), row-major.
     const int positions = outH_ * outW_;
     col.assign(static_cast<size_t>(receptiveField()) * positions, 0.0f);
+    const size_t in_plane = static_cast<size_t>(inH_) * inW_;
     size_t r = 0;
     for (int c = 0; c < inChannels_; ++c) {
+        const float *in = input.data() +
+                          (static_cast<size_t>(n) * inChannels_ + c) * in_plane;
         for (int kh = 0; kh < kernel_; ++kh) {
             for (int kw = 0; kw < kernel_; ++kw, ++r) {
                 float *dst = col.data() + r * positions;
@@ -72,7 +75,7 @@ Conv2d::im2col(const Tensor &input, int n, std::vector<float> &col) const
                         const int iw = ow * stride_ - padding_ + kw;
                         if (iw < 0 || iw >= inW_)
                             continue;
-                        dst[oh * outW_ + ow] = input.at(n, c, ih, iw);
+                        dst[oh * outW_ + ow] = in[ih * inW_ + iw];
                     }
                 }
             }
@@ -84,8 +87,11 @@ void
 Conv2d::col2im(const std::vector<float> &col, Tensor &grad_input, int n) const
 {
     const int positions = outH_ * outW_;
+    const size_t in_plane = static_cast<size_t>(inH_) * inW_;
     size_t r = 0;
     for (int c = 0; c < inChannels_; ++c) {
+        float *grad = grad_input.data() +
+                      (static_cast<size_t>(n) * inChannels_ + c) * in_plane;
         for (int kh = 0; kh < kernel_; ++kh) {
             for (int kw = 0; kw < kernel_; ++kw, ++r) {
                 const float *src = col.data() + r * positions;
@@ -97,7 +103,7 @@ Conv2d::col2im(const std::vector<float> &col, Tensor &grad_input, int n) const
                         const int iw = ow * stride_ - padding_ + kw;
                         if (iw < 0 || iw >= inW_)
                             continue;
-                        grad_input.at(n, c, ih, iw) += src[oh * outW_ + ow];
+                        grad[ih * inW_ + iw] += src[oh * outW_ + ow];
                     }
                 }
             }

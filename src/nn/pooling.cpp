@@ -36,17 +36,22 @@ AvgPool2d::forward(const Tensor &input, bool train)
 
     Tensor output({batch, channels, out_h, out_w});
     const float inv = 1.0f / (kernel_ * kernel_);
-    for (int n = 0; n < batch; ++n) {
-        for (int c = 0; c < channels; ++c) {
-            for (int oh = 0; oh < out_h; ++oh) {
-                for (int ow = 0; ow < out_w; ++ow) {
-                    float acc = 0.0f;
-                    for (int kh = 0; kh < kernel_; ++kh)
-                        for (int kw = 0; kw < kernel_; ++kw)
-                            acc += input.at(n, c, oh * stride_ + kh,
-                                            ow * stride_ + kw);
-                    output.at(n, c, oh, ow) = acc * inv;
+    const size_t in_plane = static_cast<size_t>(in_h) * in_w;
+    float *out = output.data();
+    for (int nc = 0; nc < batch * channels; ++nc) {
+        const float *in = input.data() + nc * in_plane;
+        for (int oh = 0; oh < out_h; ++oh) {
+            for (int ow = 0; ow < out_w; ++ow) {
+                float acc = 0.0f;
+                for (int kh = 0; kh < kernel_; ++kh) {
+                    const float *row = in +
+                                       static_cast<size_t>(oh * stride_ + kh) *
+                                           in_w +
+                                       ow * stride_;
+                    for (int kw = 0; kw < kernel_; ++kw)
+                        acc += row[kw];
                 }
+                *out++ = acc * inv;
             }
         }
     }
@@ -60,17 +65,25 @@ AvgPool2d::backward(const Tensor &grad_output)
     Tensor grad_input(inputShape_);
     const int batch = grad_output.dim(0), channels = grad_output.dim(1);
     const int out_h = grad_output.dim(2), out_w = grad_output.dim(3);
+    const int in_w = grad_input.dim(3);
+    const size_t in_plane = static_cast<size_t>(grad_input.dim(2)) * in_w;
     const float inv = 1.0f / (kernel_ * kernel_);
-    for (int n = 0; n < batch; ++n)
-        for (int c = 0; c < channels; ++c)
-            for (int oh = 0; oh < out_h; ++oh)
-                for (int ow = 0; ow < out_w; ++ow) {
-                    const float g = grad_output.at(n, c, oh, ow) * inv;
-                    for (int kh = 0; kh < kernel_; ++kh)
-                        for (int kw = 0; kw < kernel_; ++kw)
-                            grad_input.at(n, c, oh * stride_ + kh,
-                                          ow * stride_ + kw) += g;
+    const float *grad_out = grad_output.data();
+    for (int nc = 0; nc < batch * channels; ++nc) {
+        float *grad_in = grad_input.data() + nc * in_plane;
+        for (int oh = 0; oh < out_h; ++oh)
+            for (int ow = 0; ow < out_w; ++ow) {
+                const float g = *grad_out++ * inv;
+                for (int kh = 0; kh < kernel_; ++kh) {
+                    float *row = grad_in +
+                                 static_cast<size_t>(oh * stride_ + kh) *
+                                     in_w +
+                                 ow * stride_;
+                    for (int kw = 0; kw < kernel_; ++kw)
+                        row[kw] += g;
                 }
+            }
+    }
     return grad_input;
 }
 
@@ -104,30 +117,30 @@ MaxPool2d::forward(const Tensor &input, bool train)
         argmax_.assign(static_cast<size_t>(output.size()), 0);
     }
 
+    const float *in = input.data();
+    float *out = output.data();
     long long idx = 0;
-    for (int n = 0; n < batch; ++n) {
-        for (int c = 0; c < channels; ++c) {
-            for (int oh = 0; oh < out_h; ++oh) {
-                for (int ow = 0; ow < out_w; ++ow, ++idx) {
-                    float best = -std::numeric_limits<float>::infinity();
-                    int best_flat = 0;
-                    for (int kh = 0; kh < kernel_; ++kh) {
-                        const int ih = oh * stride_ + kh;
-                        for (int kw = 0; kw < kernel_; ++kw) {
-                            const int iw = ow * stride_ + kw;
-                            const float v = input.at(n, c, ih, iw);
-                            if (v > best) {
-                                best = v;
-                                best_flat = static_cast<int>(
-                                    ((static_cast<long long>(n) * channels +
-                                      c) * in_h + ih) * in_w + iw);
-                            }
+    for (int nc = 0; nc < batch * channels; ++nc) {
+        for (int oh = 0; oh < out_h; ++oh) {
+            for (int ow = 0; ow < out_w; ++ow, ++idx) {
+                float best = -std::numeric_limits<float>::infinity();
+                int best_flat = 0;
+                for (int kh = 0; kh < kernel_; ++kh) {
+                    const long long row =
+                        (static_cast<long long>(nc) * in_h + oh * stride_ +
+                         kh) * in_w;
+                    for (int kw = 0; kw < kernel_; ++kw) {
+                        const long long flat = row + ow * stride_ + kw;
+                        const float v = in[flat];
+                        if (v > best) {
+                            best = v;
+                            best_flat = static_cast<int>(flat);
                         }
                     }
-                    output.at(n, c, oh, ow) = best;
-                    if (train)
-                        argmax_[static_cast<size_t>(idx)] = best_flat;
                 }
+                out[idx] = best;
+                if (train)
+                    argmax_[static_cast<size_t>(idx)] = best_flat;
             }
         }
     }

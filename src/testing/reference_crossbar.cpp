@@ -42,7 +42,9 @@ referenceIdeal(const CrossbarArray &xbar, const std::vector<double> &inputs,
     for (auto &current : eval.currents)
         current -= ref_current;
 
-    // Energy: V^2 * G over every driven cell (data columns + reference).
+    // Energy: V^2 * G over every driven cell (data columns + reference,
+    // and the ABFT checksum column, which is sensed on every read).
+    const int chk_col = cols + xbar.params().spareCols + 1;
     double power = 0.0;
     for (int i = 0; i < rows; ++i) {
         const double v = std::clamp(inputs[i], 0.0, 1.0) * read_v;
@@ -52,6 +54,8 @@ referenceIdeal(const CrossbarArray &xbar, const std::vector<double> &inputs,
         for (int j = 0; j < cols; ++j)
             row_g += xbar.conductanceAt(i, j);
         row_g += xbar.conductanceAt(i, cols);
+        if (xbar.params().abft)
+            row_g += xbar.physicalConductanceAt(i, chk_col);
         power += v * v * row_g;
     }
     eval.energy = power * duration;

@@ -34,8 +34,11 @@ namespace testing {
 /**
  * Naive ideal evaluation: per logical column, sum v_i * G_ij over rows
  * through conductanceAt(), subtract the reference-column current, zero
- * open columns. Accumulation runs in ascending row order per column, so
- * a correct fast path must match it bit-for-bit.
+ * open columns. Energy bills every cell of a driven row: data,
+ * reference and, with abft, the checksum column. Accumulation runs in
+ * ascending row order per column, so a correct fast path must match it
+ * bit-for-bit. The ABFT verdict itself is not modelled (check stays
+ * empty).
  */
 CrossbarEval referenceIdeal(const CrossbarArray &xbar,
                             const std::vector<double> &inputs,

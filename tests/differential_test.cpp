@@ -56,30 +56,66 @@ TEST(Differential, IdealMatchesReferenceBitExact)
         });
 }
 
+/**
+ * Program the ABFT checksum column on half the cases. The flag is drawn
+ * here, not in randomCase, so no other test's cases move.
+ */
+CaseConfig
+withAbft(CaseConfig config)
+{
+    config.abft = Rng(config.seed ^ 0xabf7ull).bernoulli(0.5);
+    return config;
+}
+
+/** First difference between two ABFT verdicts, or empty. */
+std::string
+compareCheck(const CrossbarCheck &got, const CrossbarCheck &want)
+{
+    if (got.checks == want.checks && got.violations == want.violations &&
+        got.residual == want.residual && got.tolerance == want.tolerance)
+        return std::string();
+    std::ostringstream out;
+    out.precision(17);
+    out << "ABFT check " << got.checks << "/" << got.violations
+        << " residual " << got.residual << " tol " << got.tolerance
+        << " != " << want.checks << "/" << want.violations << " residual "
+        << want.residual << " tol " << want.tolerance;
+    return out.str();
+}
+
 TEST(Differential, SparseMatchesReferenceBitExact)
 {
     // Spike-driven path: active-row list against the densified naive
-    // evaluation, across sparsity levels from near-dense to one spike.
+    // evaluation, across sparsity levels from near-dense to one spike,
+    // with the checksum column on half the cases. Both fast reads go
+    // through their Into forms, each reusing one result across every
+    // case: a result left by a wider array or an ABFT case must not
+    // leak columns or a verdict into the next case.
+    CrossbarEval got;
+    CrossbarEval dense;
     runCases(
         600, 3000,
         [](uint64_t seed) {
-            CaseConfig config = randomCase(seed);
+            CaseConfig config = withAbft(randomCase(seed));
             config.snnMode = true;
             return config;
         },
-        [](const CaseConfig &config) {
+        [&](const CaseConfig &config) {
             BuiltCase built = buildCase(config);
-            const CrossbarEval got =
-                built.xbar->evaluateSparse(built.active, kCycle);
+            built.xbar->evaluateSparseInto(built.active, kCycle, got);
             const CrossbarEval want =
                 referenceIdeal(*built.xbar, built.inputs, kCycle);
             std::string detail = compareEval(got, want, 0.0);
             if (!detail.empty())
                 return "sparse vs reference: " + detail;
+            if (got.check.checks != (config.abft ? 1 : 0))
+                return std::string("sparse read ABFT check count ") +
+                       std::to_string(got.check.checks);
             // And against the dense fast path, which must be identical.
-            const CrossbarEval dense =
-                built.xbar->evaluateIdeal(built.inputs, kCycle);
+            built.xbar->evaluateIdealInto(built.inputs, kCycle, dense);
             detail = compareEval(got, dense, 0.0);
+            if (detail.empty())
+                detail = compareCheck(got.check, dense.check);
             if (!detail.empty())
                 return "sparse vs dense fast path: " + detail;
             return std::string();
@@ -151,20 +187,11 @@ compareBatchToSolo(const CaseConfig &config, int min_batch, int max_batch,
             }
         }
         if (config.abft) {
-            const CrossbarCheck &check = got.checks[static_cast<size_t>(b)];
-            if (check.checks != solo.check.checks ||
-                check.violations != solo.check.violations ||
-                check.residual != solo.check.residual ||
-                check.tolerance != solo.check.tolerance) {
-                out << "window " << b << " ABFT check: batched "
-                    << check.checks << "/" << check.violations
-                    << " residual " << check.residual << " tol "
-                    << check.tolerance << " != solo " << solo.check.checks
-                    << "/" << solo.check.violations << " residual "
-                    << solo.check.residual << " tol "
-                    << solo.check.tolerance;
-                return out.str();
-            }
+            const std::string detail =
+                compareCheck(got.checks[static_cast<size_t>(b)], solo.check);
+            if (!detail.empty())
+                return "window " + std::to_string(b) + " batched vs solo " +
+                       detail;
         }
         energy_sum += solo.energy;
     }
@@ -176,18 +203,13 @@ compareBatchToSolo(const CaseConfig &config, int min_batch, int max_batch,
 TEST(Differential, BatchMatchesSingleEvalBitExact)
 {
     // Half the cases program the ABFT checksum column, so the per-window
-    // verdicts the solo ANN conv path bills are pinned too. The flag is
-    // drawn here, not in randomCase, so no other test's cases move.
-    auto with_abft = [](CaseConfig config) {
-        config.abft = Rng(config.seed ^ 0xabf7ull).bernoulli(0.5);
-        return config;
-    };
+    // verdicts the solo ANN conv path bills are pinned too.
     // randomCase sweeps geometry, spare columns, fault maps, mitigations
     // and input sparsity; batch-of-2 is the smallest batch and 8 crosses
     // the kernel's 4-window register-blocking boundary.
     runCases(
         500, 7000,
-        [&](uint64_t seed) { return with_abft(randomCase(seed)); },
+        [](uint64_t seed) { return withAbft(randomCase(seed)); },
         [](const CaseConfig &config) {
             return compareBatchToSolo(config, 2, 8);
         });
@@ -196,8 +218,8 @@ TEST(Differential, BatchMatchesSingleEvalBitExact)
     // batched kernel (it reads the same remapped conductance view).
     runCases(
         150, 7600,
-        [&](uint64_t seed) {
-            CaseConfig config = with_abft(randomCase(seed));
+        [](uint64_t seed) {
+            CaseConfig config = withAbft(randomCase(seed));
             config.withFaults = true;
             config.writeVerify = true;
             config.repair = true;
@@ -214,8 +236,8 @@ TEST(Differential, BatchMatchesSingleEvalBitExact)
     // 6 kernels), with -0.0 drives and rows dark in only some windows.
     runCases(
         240, 9000,
-        [&](uint64_t seed) {
-            CaseConfig config = with_abft(randomCase(seed));
+        [](uint64_t seed) {
+            CaseConfig config = withAbft(randomCase(seed));
             config.cols = Rng(seed ^ 0xc015ull).uniformInt(1, 7);
             return config;
         },

@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "arch/chip.hpp"
 #include "arch/energy_model.hpp"
 #include "arch/pipeline.hpp"
 #include "nn/models.hpp"
@@ -35,6 +36,42 @@ TEST(ActivityProfile, UniformAndDecaying)
     for (size_t i = 1; i < d.inputActivity.size(); ++i)
         EXPECT_LE(d.inputActivity[i], d.inputActivity[i - 1]);
     EXPECT_GE(d.inputActivity.back(), 0.02);
+}
+
+TEST(EnergyBreakdown, PricesChipStatsDeltaAtTableIII)
+{
+    // A hand-built delta of 32 crossbar evals and 10 ADC conversions:
+    // one eval keeps 1/16 of its core's driver bank and neuron units
+    // busy for one 110 ns cycle, one conversion one ADC for one cycle
+    // (Table III: DAC array 26.56 mW, spike drivers 0.904 mW, neuron
+    // units 0.151 mW, ADC 0.43 mW). Crossbar and NoC joules pass
+    // through as measured.
+    ChipStats before;
+    before.crossbarEvals = 5;
+    before.adcConversions = 3;
+    before.crossbarEnergy = 1e-9;
+    before.nocEnergy = 2e-10;
+    ChipStats after = before;
+    after.crossbarEvals += 32;
+    after.adcConversions += 10;
+    after.crossbarEnergy += 3e-9;
+    after.nocEnergy += 4e-10;
+    const double cycle = 110e-9;
+
+    const EnergyBreakdown ann =
+        estimateEnergyBreakdown(before, after, Mode::ANN);
+    EXPECT_DOUBLE_EQ(ann.driverJ, 32 * 26.56e-3 / 16 * cycle);
+    EXPECT_DOUBLE_EQ(ann.adcJ, 10 * 0.43e-3 * cycle);
+    EXPECT_DOUBLE_EQ(ann.neuronJ, 32 * 0.151e-3 / 16 * cycle);
+    EXPECT_DOUBLE_EQ(ann.crossbarJ,
+                     after.crossbarEnergy - before.crossbarEnergy);
+    EXPECT_DOUBLE_EQ(ann.nocJ, after.nocEnergy - before.nocEnergy);
+
+    const EnergyBreakdown snn =
+        estimateEnergyBreakdown(before, after, Mode::SNN);
+    EXPECT_DOUBLE_EQ(snn.driverJ, 32 * 0.904e-3 / 16 * cycle);
+    EXPECT_DOUBLE_EQ(snn.adcJ, ann.adcJ);
+    EXPECT_DOUBLE_EQ(snn.neuronJ, ann.neuronJ);
 }
 
 TEST(EnergyModel, ComponentsSumToTotal)

@@ -87,7 +87,8 @@ TEST(CrossbarCache, FaultInjectionAfterEvalIsNotStale)
     SpikeVector all_rows;
     for (int i = 0; i < 16; ++i)
         all_rows.push_back(i);
-    const CrossbarEval sparse = xbar.evaluateSparse(all_rows, kCycle);
+    CrossbarEval sparse;
+    xbar.evaluateSparseInto(all_rows, kCycle, sparse);
     const std::vector<double> ones(16, 1.0);
     EXPECT_TRUE(
         compareEval(sparse, referenceIdeal(xbar, ones, kCycle), 0.0)

@@ -174,6 +174,41 @@ TEST(Runtime, SnnPoolBitIdenticalToSequentialChip)
     engine.shutdown();
 }
 
+TEST(Runtime, PerRequestEnergySumsToChipDelta)
+{
+    // The per-request joules a replica reports, summed over a run, are
+    // the component joules of its chip's whole delta: no request's
+    // energy is dropped or billed twice. ABFT on, so the checksum
+    // conversions reach the ADC term in both modes.
+    Prototypes &p = protos();
+    NebulaConfig config;
+    config.abft = true;
+    AnnChipReplica ann(p.quantNet, p.quant, config, 0.0, 7);
+    SnnChipReplica snn(p.snn, config, 0.0, 7);
+    const std::pair<ChipReplica *, Mode> replicas[] = {{&ann, Mode::ANN},
+                                                       {&snn, Mode::SNN}};
+    for (const auto &[replica, mode] : replicas) {
+        EnergyBreakdown sum;
+        for (int i = 0; i < 16; ++i) {
+            InferenceRequest request;
+            request.image = p.data.image(i);
+            request.timesteps = 6;
+            request.seed = deriveRequestSeed(1, static_cast<uint64_t>(i));
+            sum.merge(replica->run(request).energy);
+        }
+        const EnergyBreakdown whole =
+            estimateEnergyBreakdown(ChipStats{}, *replica->chipStats(), mode);
+        const std::pair<double, double> parts[] = {
+            {sum.crossbarJ, whole.crossbarJ}, {sum.driverJ, whole.driverJ},
+            {sum.adcJ, whole.adcJ},           {sum.neuronJ, whole.neuronJ},
+            {sum.nocJ, whole.nocJ}};
+        for (const auto &[got, want] : parts) {
+            EXPECT_GT(want, 0.0) << replica->mode();
+            EXPECT_NEAR(got, want, 1e-12 * want) << replica->mode();
+        }
+    }
+}
+
 TEST(Runtime, InlineModeMatchesWorkerPool)
 {
     Prototypes &p = protos();
