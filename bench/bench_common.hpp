@@ -1,8 +1,7 @@
 /**
  * @file
  * Shared helpers for the benchmark harness: scaled benchmark-model
- * training with on-disk caching (so the table/figure regenerators stay
- * fast on re-runs), mapped-model construction and activity measurement.
+ * training, mapped-model construction and activity measurement.
  *
  * Scaling policy: energy/power/mapping studies always use the paper's
  * FULL-SIZE topologies (they depend only on layer geometry + activity
@@ -125,37 +124,25 @@ writeBenchSummary(const char *argv0)
         NEBULA_WARN("could not write ", path);
 }
 
-/** Cache directory for trained scaled models. */
-inline std::string
-cachePath(const std::string &tag)
-{
-    return "/tmp/nebula_bench_" + tag + ".bin";
-}
-
 /**
- * Train (or load from cache) a model on a dataset.
+ * Train a fresh model on a dataset. Every call trains: the weights are
+ * a function of the arguments alone, never of an earlier run.
  *
- * @param tag      Cache key; delete /tmp/nebula_bench_<tag>.bin to force
- *                 retraining.
- * @param builder  Fresh-network factory (same topology every call).
+ * @param builder  Fresh-network factory.
  * @param train    Training set.
- * @param epochs   Epochs if training is needed.
+ * @param epochs   Training epochs.
  */
 inline Network
-trainedModel(const std::string &tag, const std::function<Network()> &builder,
-             const Dataset &train, int epochs, double lr = 0.06)
+trainedModel(const std::function<Network()> &builder, const Dataset &train,
+             int epochs, double lr = 0.06)
 {
     Network net = builder();
-    if (net.load(cachePath(tag)))
-        return net;
-
     TrainConfig cfg;
     cfg.epochs = epochs;
     cfg.batchSize = 32;
     cfg.learningRate = lr;
     SgdTrainer trainer(cfg);
     trainer.train(net, train);
-    net.save(cachePath(tag));
     return net;
 }
 

@@ -26,7 +26,6 @@ report()
 {
     SyntheticTextures train_set(500, 10, 16, 3, 1601);
     Network net = bench::trainedModel(
-        "fig04_vgg13s",
         [] { return buildVgg13(16, 3, 10, 0.25f, 42); }, train_set, 3);
 
     const Tensor calibration = train_set.firstImages(48);

@@ -22,13 +22,12 @@ namespace nebula {
 namespace {
 
 void
-reportModel(const std::string &tag, const char *label,
+reportModel(const char *label,
             const std::function<Network()> &builder,
             const Dataset &train_set, const Dataset &test_set, int epochs,
             bool fine_tune)
 {
-    Network reference = bench::trainedModel(tag, builder, train_set,
-                                            epochs);
+    Network reference = bench::trainedModel(builder, train_set, epochs);
     const double float_acc = evaluateAccuracy(reference, test_set);
     const Tensor calibration = train_set.firstImages(48);
 
@@ -41,9 +40,7 @@ reportModel(const std::string &tag, const char *label,
         .add(formatDouble(100 * float_acc, 2) + "%")
         .add("--");
     for (int levels : {2, 4, 6, 8, 12, 16, 32}) {
-        Network net = builder();
-        NEBULA_ASSERT(net.load(bench::cachePath(tag)),
-                      "model cache missing");
+        Network net = reference.clone();
         const auto quant = quantizeNetwork(net, calibration, levels, 16);
         // Post-training-quantization fine-tuning (the paper cites [2]);
         // needed for the deep separable model.
@@ -81,10 +78,10 @@ main(int argc, char **argv)
     SyntheticTextures train10(500, 10, 16, 3, 1601);
     SyntheticTextures test10(200, 10, 16, 3, 1701);
 
-    reportModel("fig04_vgg13s", "VGG-13 scaled, CIFAR-10-like",
+    reportModel("VGG-13 scaled, CIFAR-10-like",
                 [] { return buildVgg13(16, 3, 10, 0.25f, 42); }, train10,
                 test10, 3, false);
-    reportModel("fig09_mobilenets", "MobileNet-v1 scaled, CIFAR-10-like",
+    reportModel("MobileNet-v1 scaled, CIFAR-10-like",
                 [] { return buildMobilenetV1(16, 3, 10, 0.25f, 43); },
                 train10, test10, 7, true);
 

@@ -25,7 +25,6 @@ report()
 {
     SyntheticTextures train_set(500, 10, 16, 3, 1601);
     Network net = bench::trainedModel(
-        "fig09_mobilenets",
         [] { return buildMobilenetV1(16, 3, 10, 0.25f, 43); }, train_set,
         7);
 

@@ -111,8 +111,7 @@ insituStudy()
     SyntheticDigits train(800, image, /*seed=*/61);
     SyntheticDigits test(tiny ? 120 : 200, image, /*seed=*/62);
     Network proto = bench::trainedModel(
-        "learning_mlp3", [&] { return buildMlp3(image, 1, 10, 71); }, train,
-        /*epochs=*/8);
+        [&] { return buildMlp3(image, 1, 10, 71); }, train, /*epochs=*/8);
     const QuantizationResult quant =
         quantizeNetwork(proto, train.firstImages(64));
 

@@ -55,7 +55,6 @@ report()
     SyntheticTextures train_set(tiny ? 160 : 500, 10, 16, 3, 1601);
     SyntheticTextures test_set(tiny ? 80 : 200, 10, 16, 3, 1701);
     Network base = bench::trainedModel(
-        "fig04_vgg13s",
         [] { return buildVgg13(16, 3, 10, 0.25f, 42); }, train_set,
         tiny ? 1 : 3);
     const Tensor calibration = train_set.firstImages(48);
@@ -141,8 +140,7 @@ abftReport()
     SyntheticDigits train(400, image, /*seed=*/81);
     SyntheticDigits test(images + 8, image, /*seed=*/82);
     Network proto = bench::trainedModel(
-        "abft_mlp3", [&] { return buildMlp3(image, 1, 10, 91); }, train,
-        /*epochs=*/6);
+        [&] { return buildMlp3(image, 1, 10, 91); }, train, /*epochs=*/6);
     const QuantizationResult quant =
         quantizeNetwork(proto, train.firstImages(64));
 

@@ -23,7 +23,6 @@ namespace {
 
 struct BenchRow
 {
-    std::string tag;      //!< cache key
     const char *paperRow; //!< matching Table I entry
     std::function<Network()> builder;
     std::shared_ptr<Dataset> train;
@@ -55,30 +54,28 @@ report()
         std::make_shared<SyntheticTextures>(150, 20, 32, 3, 2301);
 
     std::vector<BenchRow> rows = {
-        {"t1_mlp3", "3-layer MLP / MNIST (96.81 / 95.75, t=50)",
+        {"3-layer MLP / MNIST (96.81 / 95.75, t=50)",
          [] { return buildMlp3(16, 1, 10, 11); }, digits_train,
          digits_test, 6, 0.08, 50, 60},
-        {"t1_lenet5", "LeNet5 / MNIST (99.12 / 98.56, t=40)",
+        {"LeNet5 / MNIST (99.12 / 98.56, t=40)",
          [] { return buildLenet5(16, 1, 10, 12); }, digits_train,
          digits_test, 5, 0.06, 60, 40},
-        {"fig09_mobilenets",
-         "MobileNet-v1 / CIFAR-10 (91.00 / 81.08, t=500)",
+        {"MobileNet-v1 / CIFAR-10 (91.00 / 81.08, t=500)",
          [] { return buildMobilenetV1(16, 3, 10, 0.25f, 43); },
          tex10_train, tex10_test, 7, 0.04, 200, 25},
-        {"fig04_vgg13s", "VGG-13 / CIFAR-10 (91.60 / 90.05, t=300)",
+        {"VGG-13 / CIFAR-10 (91.60 / 90.05, t=300)",
          [] { return buildVgg13(16, 3, 10, 0.25f, 42); }, tex10_train,
          tex10_test, 3, 0.04, 150, 25},
-        {"t1_mobilenet_c100",
-         "MobileNet-v1 / CIFAR-100 (66.06 / 56.88, t=1000)",
+        {"MobileNet-v1 / CIFAR-100 (66.06 / 56.88, t=1000)",
          [] { return buildMobilenetV1(16, 3, 20, 0.25f, 44); },
          tex20_train, tex20_test, 8, 0.04, 250, 20},
-        {"t1_vgg13_c100", "VGG-13 / CIFAR-100 (71.50 / 68.32, t=1000)",
+        {"VGG-13 / CIFAR-100 (71.50 / 68.32, t=1000)",
          [] { return buildVgg13(16, 3, 20, 0.25f, 45); }, tex20_train,
          tex20_test, 5, 0.04, 200, 20},
-        {"t1_svhn", "SVHN Network / SVHN (94.96 / 94.48, t=100)",
+        {"SVHN Network / SVHN (94.96 / 94.48, t=100)",
          [] { return buildSvhnNet(16, 3, 10, 0.25f, 46); }, svhn_train,
          svhn_test, 9, 0.05, 120, 25},
-        {"t1_alexnet", "AlexNet / ImageNet (51 / 50, t=500)",
+        {"AlexNet / ImageNet (51 / 50, t=500)",
          [] { return buildAlexNet(32, 3, 20, 0.25f, 47); },
          tex20_32_train, tex20_32_test, 6, 0.05, 150, 15},
     };
@@ -90,8 +87,8 @@ report()
                  "gap", "t-steps", "depth"});
 
     for (BenchRow &row : rows) {
-        Network net = bench::trainedModel(row.tag, row.builder,
-                                          *row.train, row.epochs, row.lr);
+        Network net = bench::trainedModel(row.builder, *row.train,
+                                          row.epochs, row.lr);
         const double ann_acc =
             evaluateAccuracy(net, *row.test, row.evalImages * 4);
 

@@ -19,14 +19,13 @@ namespace nebula {
 namespace {
 
 void
-reportModel(const std::string &tag, const char *label,
+reportModel(const char *label,
             const std::function<Network()> &builder, const Dataset &train,
             const Dataset &test, int epochs, int snn_timesteps,
             const std::vector<std::pair<int, int>> &configs,
             int eval_images)
 {
-    Network net =
-        bench::trainedModel(tag, builder, train, epochs, 0.04);
+    Network net = bench::trainedModel(builder, train, epochs, 0.04);
     const Tensor calibration = train.firstImages(48);
 
     Table table(std::string("Table II (") + label +
@@ -34,8 +33,7 @@ reportModel(const std::string &tag, const char *label,
                 {"mode", "t-steps", "accuracy", "SNN @ same t",
                  "hybrid advantage"});
 
-    Network snn_src = builder();
-    NEBULA_ASSERT(snn_src.load(bench::cachePath(tag)), "cache missing");
+    Network snn_src = net.clone();
     SpikingModel model = convertToSnn(snn_src, calibration);
     SnnSimulator sim(model, 1.0, 888);
 
@@ -51,8 +49,7 @@ reportModel(const std::string &tag, const char *label,
     }
 
     for (const auto &[ann_layers, timesteps] : configs) {
-        Network copy = builder();
-        NEBULA_ASSERT(copy.load(bench::cachePath(tag)), "cache missing");
+        Network copy = net.clone();
         HybridNetwork hybrid(copy, calibration, ann_layers, {}, 889);
         const double acc =
             hybrid.evaluateAccuracy(test, eval_images, timesteps);
@@ -96,12 +93,12 @@ main(int argc, char **argv)
 
     // (ann_layers, timesteps) per the paper's Table II structure,
     // timestep counts scaled with the SNN window.
-    reportModel("fig04_vgg13s", "VGG, paper: SNN 90.05 @300; Hyb-1 90.10 "
+    reportModel("VGG, paper: SNN 90.05 @300; Hyb-1 90.10 "
                                 "@250 ... Hyb-3 62 @100",
                 [] { return buildVgg13(16, 3, 10, 0.25f, 42); },
                 tex_train, tex_test, 3, 80,
                 {{1, 65}, {2, 50}, {2, 40}, {3, 25}}, 25);
-    reportModel("t1_svhn", "SVHN, paper: SNN 94.48 @100; Hyb-1 94.46 @80 "
+    reportModel("SVHN, paper: SNN 94.48 @100; Hyb-1 94.46 @80 "
                            "... Hyb-3 93.29 @40",
                 [] { return buildSvhnNet(16, 3, 10, 0.25f, 46); },
                 svhn_train, svhn_test, 9, 60,

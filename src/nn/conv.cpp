@@ -241,8 +241,13 @@ DwConv2d::forward(const Tensor &input, bool train)
         input_ = input;
 
     Tensor output({batch, channels_, outH_, outW_});
+    const size_t in_plane = static_cast<size_t>(in_h) * in_w;
+    const size_t out_plane = static_cast<size_t>(outH_) * outW_;
     for (int n = 0; n < batch; ++n) {
         for (int c = 0; c < channels_; ++c) {
+            const size_t plane = static_cast<size_t>(n) * channels_ + c;
+            const float *in = input.data() + plane * in_plane;
+            float *out = output.data() + plane * out_plane;
             const float *w =
                 weight_.data() + static_cast<size_t>(c) * kernel_ * kernel_;
             const float b = hasBias_ ? bias_[c] : 0.0f;
@@ -257,11 +262,10 @@ DwConv2d::forward(const Tensor &input, bool train)
                             const int iw = ow * stride_ - padding_ + kw;
                             if (iw < 0 || iw >= in_w)
                                 continue;
-                            acc += w[kh * kernel_ + kw] *
-                                   input.at(n, c, ih, iw);
+                            acc += w[kh * kernel_ + kw] * in[ih * in_w + iw];
                         }
                     }
-                    output.at(n, c, oh, ow) = acc;
+                    out[oh * outW_ + ow] = acc;
                 }
             }
         }
@@ -278,15 +282,21 @@ DwConv2d::backward(const Tensor &grad_output)
     const int in_h = input_.dim(2), in_w = input_.dim(3);
 
     Tensor grad_input(input_.shape());
+    const size_t in_plane = static_cast<size_t>(in_h) * in_w;
+    const size_t out_plane = static_cast<size_t>(outH_) * outW_;
     for (int n = 0; n < batch; ++n) {
         for (int c = 0; c < channels_; ++c) {
+            const size_t plane = static_cast<size_t>(n) * channels_ + c;
+            const float *in = input_.data() + plane * in_plane;
+            float *gin = grad_input.data() + plane * in_plane;
+            const float *gout = grad_output.data() + plane * out_plane;
             const float *w =
                 weight_.data() + static_cast<size_t>(c) * kernel_ * kernel_;
             float *dw = weightGrad_.data() +
                         static_cast<size_t>(c) * kernel_ * kernel_;
             for (int oh = 0; oh < outH_; ++oh) {
                 for (int ow = 0; ow < outW_; ++ow) {
-                    const float g = grad_output.at(n, c, oh, ow);
+                    const float g = gout[oh * outW_ + ow];
                     if (g == 0.0f)
                         continue;
                     if (hasBias_)
@@ -299,10 +309,8 @@ DwConv2d::backward(const Tensor &grad_output)
                             const int iw = ow * stride_ - padding_ + kw;
                             if (iw < 0 || iw >= in_w)
                                 continue;
-                            dw[kh * kernel_ + kw] +=
-                                g * input_.at(n, c, ih, iw);
-                            grad_input.at(n, c, ih, iw) +=
-                                g * w[kh * kernel_ + kw];
+                            dw[kh * kernel_ + kw] += g * in[ih * in_w + iw];
+                            gin[ih * in_w + iw] += g * w[kh * kernel_ + kw];
                         }
                     }
                 }

@@ -1,7 +1,7 @@
 #include "nn/network.hpp"
 
 #include <cstdint>
-#include <fstream>
+#include <cstring>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -201,48 +201,64 @@ namespace {
 constexpr uint32_t kMagic = 0x4e454231; // "NEB1"
 } // namespace
 
-bool
-Network::save(const std::string &path)
+std::vector<uint8_t>
+Network::save()
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out.write(reinterpret_cast<const char *>(&kMagic), sizeof(kMagic));
+    std::vector<uint8_t> bytes;
+    auto put = [&bytes](const void *src, size_t n) {
+        const auto *p = static_cast<const uint8_t *>(src);
+        bytes.insert(bytes.end(), p, p + n);
+    };
+    put(&kMagic, sizeof(kMagic));
     const uint32_t layers = static_cast<uint32_t>(layers_.size());
-    out.write(reinterpret_cast<const char *>(&layers), sizeof(layers));
+    put(&layers, sizeof(layers));
     for (auto &layer : layers_) {
         for (Tensor *t : layer->state()) {
             const uint64_t n = static_cast<uint64_t>(t->size());
-            out.write(reinterpret_cast<const char *>(&n), sizeof(n));
-            out.write(reinterpret_cast<const char *>(t->data()),
-                      static_cast<std::streamsize>(n * sizeof(float)));
+            put(&n, sizeof(n));
+            put(t->data(), n * sizeof(float));
         }
     }
-    return static_cast<bool>(out);
+    return bytes;
 }
 
 bool
-Network::load(const std::string &path)
+Network::load(const uint8_t *data, size_t size)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    uint32_t magic = 0, layers = 0;
-    in.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-    in.read(reinterpret_cast<char *>(&layers), sizeof(layers));
-    if (magic != kMagic || layers != layers_.size())
-        return false;
-    for (auto &layer : layers_) {
-        for (Tensor *t : layer->state()) {
-            uint64_t n = 0;
-            in.read(reinterpret_cast<char *>(&n), sizeof(n));
-            if (!in || n != static_cast<uint64_t>(t->size()))
+    // The same walk twice: the first pass only checks every count
+    // against this network, so a rejected buffer leaves the weights
+    // untouched; the second copies.
+    for (const bool copy : {false, true}) {
+        size_t at = 0;
+        auto read = [&](void *dst, size_t n) {
+            if (n > size - at)
                 return false;
-            in.read(reinterpret_cast<char *>(t->data()),
-                    static_cast<std::streamsize>(n * sizeof(float)));
+            std::memcpy(dst, data + at, n);
+            at += n;
+            return true;
+        };
+        uint32_t magic = 0, layers = 0;
+        if (!read(&magic, sizeof(magic)) || !read(&layers, sizeof(layers)) ||
+            magic != kMagic || layers != layers_.size())
+            return false;
+        for (auto &layer : layers_) {
+            for (Tensor *t : layer->state()) {
+                uint64_t n = 0;
+                if (!read(&n, sizeof(n)) ||
+                    n != static_cast<uint64_t>(t->size()))
+                    return false;
+                const size_t bytes = n * sizeof(float);
+                if (bytes > size - at)
+                    return false;
+                if (copy)
+                    std::memcpy(t->data(), data + at, bytes);
+                at += bytes;
+            }
         }
+        if (at != size)
+            return false;
     }
-    return static_cast<bool>(in);
+    return true;
 }
 
 std::string

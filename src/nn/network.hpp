@@ -9,6 +9,7 @@
 #ifndef NEBULA_NN_NETWORK_HPP
 #define NEBULA_NN_NETWORK_HPP
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -104,11 +105,18 @@ class Network
     /** Copy all persistent tensors from an identically-shaped network. */
     void copyStateFrom(Network &other);
 
-    /** Save persistent state to a binary file. */
-    bool save(const std::string &path);
+    /**
+     * Persistent state in the NEB1 format: magic, layer count, then
+     * (float count, floats) for every state tensor in layer order.
+     */
+    std::vector<uint8_t> save();
 
-    /** Load persistent state from a binary file (shapes must match). */
-    bool load(const std::string &path);
+    /**
+     * Load NEB1 bytes. False -- with the weights untouched -- unless
+     * the layer count and every tensor size match this network and
+     * the buffer holds exactly that state.
+     */
+    bool load(const uint8_t *data, size_t size);
 
     /** One line per layer: name, Rf, kernels, output size. */
     std::string summary() const;

@@ -12,6 +12,59 @@
 namespace nebula {
 namespace serving {
 
+namespace {
+
+/** Generation seed of every servable's synthetic-digit training set. */
+constexpr uint64_t kTrainDataSeed = 1;
+
+/** Calibration batch size (the first images of the training set). */
+constexpr int kCalibrationImages = 64;
+
+/** @p spec's topology with seeded, untrained weights. */
+Network
+buildServable(const ServableModelSpec &spec)
+{
+    if (spec.family == "mlp3")
+        return buildMlp3(spec.imageSize, 1, spec.classes, spec.seed);
+    if (spec.family == "lenet5")
+        return buildLenet5(spec.imageSize, 1, spec.classes, spec.seed);
+    NEBULA_FATAL("unknown servable family '", spec.family, "'");
+}
+
+/** The training recipe applied to @p spec's prototype. */
+TrainConfig
+servableTrainConfig(const ServableModelSpec &spec)
+{
+    TrainConfig tc;
+    tc.epochs = spec.epochs;
+    tc.learningRate = spec.learningRate;
+    return tc;
+}
+
+/**
+ * The batch a servable is calibrated on: the first 64 images of its
+ * training set, whether the prototype was trained or loaded. The digit
+ * generator draws image by image from one stream, so a 64-image set is
+ * the exact prefix of any longer training set.
+ */
+Tensor
+servableCalibration(const ServableModelSpec &spec)
+{
+    return SyntheticDigits(kCalibrationImages, spec.imageSize,
+                           kTrainDataSeed)
+        .firstImages(kCalibrationImages);
+}
+
+/** Fix a prototype's geometry for mapping without training it. */
+void
+probeGeometry(Network &net, const ServableModelSpec &spec)
+{
+    Tensor probe({1, 1, spec.imageSize, spec.imageSize});
+    net.forward(probe);
+}
+
+} // namespace
+
 bool
 parseServableId(const std::string &id, ServableModelSpec &out)
 {
@@ -70,6 +123,60 @@ struct ServableLoader::Cached
     std::optional<SpikingModel> spikingProduct;
 };
 
+std::string
+trainingKey(const ServableModelSpec &spec)
+{
+    const TrainConfig tc = servableTrainConfig(spec);
+    std::ostringstream key;
+    key << std::hexfloat << spec.family << " image=" << spec.imageSize
+        << " classes=" << spec.classes << " images=" << spec.trainImages
+        << " epochs=" << tc.epochs << " lr=" << tc.learningRate
+        << " seed=" << spec.seed << " batch=" << tc.batchSize
+        << " momentum=" << tc.momentum << " weight_decay=" << tc.weightDecay
+        << " lr_decay=" << tc.lrDecay << " shuffle=" << tc.shuffleSeed
+        << " data_seed=" << kTrainDataSeed;
+    return key.str();
+}
+
+Network
+trainServable(const ServableModelSpec &spec)
+{
+    Network net = buildServable(spec);
+    if (spec.epochs > 0) {
+        SyntheticDigits train(std::max(spec.trainImages, kCalibrationImages),
+                              spec.imageSize, kTrainDataSeed);
+        SgdTrainer(servableTrainConfig(spec)).train(net, train);
+    } else {
+        // Untrained servables still need fixed geometry for mapping.
+        probeGeometry(net, spec);
+    }
+    return net;
+}
+
+Network
+servablePrototype(const ServableModelSpec &spec, ArtifactView artifact,
+                  ArtifactStatus &status)
+{
+    Network net = buildServable(spec);
+    status = loadArtifact(artifact, trainingKey(spec), net);
+    if (status != ArtifactStatus::Loaded)
+        return trainServable(spec);
+    probeGeometry(net, spec);
+    return net;
+}
+
+ServableLoader::ServableLoader()
+    : artifactLoads_(obs::MetricsRegistry::global().counter(
+          "serving.loader.artifact_loads")),
+      trained_(obs::MetricsRegistry::global().counter(
+          "serving.loader.trained")),
+      artifactRejects_(obs::MetricsRegistry::global().counter(
+          "serving.loader.artifact_rejects"))
+{
+}
+
+ServableLoader::~ServableLoader() = default;
+
 ServableLoader &
 ServableLoader::global()
 {
@@ -80,49 +187,33 @@ ServableLoader::global()
 ServableLoader::Cached &
 ServableLoader::cached(const ServableModelSpec &spec)
 {
-    // Key on everything training depends on; mode is deliberately
-    // excluded -- ann/snn/hybrid servables of one family share the
-    // trained float prototype. The learning rate is keyed exactly
-    // (hexfloat): rates that differ past the default 6 printed digits
-    // train different networks.
-    std::ostringstream key;
-    key << spec.family << ':' << spec.imageSize << ':' << spec.classes
-        << ':' << spec.trainImages << ':' << spec.epochs << ':'
-        << std::hexfloat << spec.learningRate << ':' << spec.seed;
-
+    // Mode is not part of the key: ann/snn/hybrid servables of one
+    // family share the float prototype.
+    const std::string key = trainingKey(spec);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = cache_.find(key.str());
+    auto it = cache_.find(key);
     if (it != cache_.end())
         return *it->second;
 
     auto entry = std::make_unique<Cached>();
-    if (spec.family == "mlp3") {
-        entry->net = buildMlp3(spec.imageSize, 1, spec.classes, spec.seed);
-    } else if (spec.family == "lenet5") {
-        entry->net =
-            buildLenet5(spec.imageSize, 1, spec.classes, spec.seed);
+    ArtifactStatus status = ArtifactStatus::Missing;
+    entry->net = servablePrototype(spec, findArtifact(key), status);
+    entry->calibration = servableCalibration(spec);
+    if (status == ArtifactStatus::Loaded) {
+        artifactLoads_.inc();
     } else {
-        NEBULA_FATAL("unknown servable family '", spec.family, "'");
+        trained_.inc();
+        if (status != ArtifactStatus::Missing) {
+            artifactRejects_.inc();
+            NEBULA_WARN("servable artifact for ", spec.family, " refused (",
+                        toString(status), "); trained instead");
+        }
     }
 
-    SyntheticDigits train(std::max(spec.trainImages, 64), spec.imageSize,
-                          /*seed=*/1);
-    if (spec.epochs > 0) {
-        TrainConfig tc;
-        tc.epochs = spec.epochs;
-        tc.learningRate = spec.learningRate;
-        SgdTrainer trainer(tc);
-        trainer.train(entry->net, train);
-    } else {
-        // Untrained servables still need fixed geometry for mapping.
-        Tensor probe({1, 1, spec.imageSize, spec.imageSize});
-        entry->net.forward(probe);
-    }
-    entry->calibration = train.firstImages(std::min(64, train.size()));
-
-    it = cache_.emplace(key.str(), std::move(entry)).first;
-    NEBULA_DEBUG("serving", "trained servable prototype ", spec.family,
-                 " (", spec.epochs, " epochs, cached)");
+    it = cache_.emplace(key, std::move(entry)).first;
+    NEBULA_DEBUG("serving", "servable prototype ", spec.family, ": ",
+                 status == ArtifactStatus::Loaded ? "artifact" : "trained",
+                 " (cached)");
     return *it->second;
 }
 

@@ -2,13 +2,16 @@
  * @file
  * Servable model zoo: the shared loader behind the multi-tenant model
  * registry, the serving examples and the tenancy bench. A servable is
- * a (family x mode) pair -- e.g. "lenet5/snn" -- trained once on the
- * synthetic digit set and cached in-process. Quantization and ANN->SNN
- * conversion are offline algorithm steps too: each happens once per
- * servable per process, and the product is cached next to the trained
- * prototype. So a weight *swap* costs exactly what the paper says it
- * should: re-programming crossbars under write-verify (pulses/energy in
- * the ProgramReport), never re-training, re-quantizing or re-converting.
+ * a (family x mode) pair -- e.g. "lenet5/snn" -- whose float prototype
+ * is trained on the synthetic digit set, or loaded from a verified
+ * weight artifact compiled into the library (serving/artifacts.hpp)
+ * when one carries its exact training key, and cached in-process.
+ * Quantization and ANN->SNN conversion are offline algorithm steps
+ * too: each happens once per servable per process, and the product is
+ * cached next to the prototype. So a weight *swap* costs exactly what
+ * the paper says it should: re-programming crossbars under
+ * write-verify (pulses/energy in the ProgramReport), never re-training,
+ * re-quantizing or re-converting.
  */
 
 #ifndef NEBULA_SERVING_MODELS_HPP
@@ -22,7 +25,9 @@
 
 #include "nn/network.hpp"
 #include "nn/quantize.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/replica.hpp"
+#include "serving/artifacts.hpp"
 #include "snn/convert.hpp"
 
 namespace nebula {
@@ -52,6 +57,31 @@ struct ServableModelSpec
  */
 bool parseServableId(const std::string &id, ServableModelSpec &out);
 
+/**
+ * Exact training key of @p spec: the family, geometry, schedule and
+ * weight seed, every TrainConfig field training reads and the dataset
+ * seed, with doubles in hexfloat (rates that differ past the 6th digit
+ * train different networks). Equal keys train bit-identical
+ * prototypes; the loader's cache and the weight artifacts are keyed by
+ * it. Mode and chip seed are excluded: they do not touch training.
+ */
+std::string trainingKey(const ServableModelSpec &spec);
+
+/**
+ * Build @p spec's network and train it from scratch (epochs == 0:
+ * seeded weights). This is the recipe the shipped artifacts are made
+ * by; tests/golden_test.cpp retrains them with it.
+ */
+Network trainServable(const ServableModelSpec &spec);
+
+/**
+ * @p spec's float prototype: @p artifact's weights when it verifies
+ * under trainingKey(spec) (see loadArtifact), otherwise
+ * trainServable(spec). @p status receives the artifact's verdict.
+ */
+Network servablePrototype(const ServableModelSpec &spec,
+                          ArtifactView artifact, ArtifactStatus &status);
+
 /** Quantized form of a trained servable (ANN chip programming input). */
 struct QuantizedServable
 {
@@ -60,15 +90,21 @@ struct QuantizedServable
 };
 
 /**
- * Process-wide cache of trained servable prototypes, keyed by the
- * training-relevant spec fields. Training happens at most once per
- * (family, geometry, seed, schedule), and so do quantization and
- * conversion of that prototype (lazily, on first use); everything
- * handed out is a private clone of a cached network.
+ * Process-wide cache of servable prototypes, keyed by trainingKey. On
+ * a miss the prototype comes from the embedded artifact carrying that
+ * key if it verifies, and is trained otherwise; the counters
+ * serving.loader.artifact_loads, serving.loader.trained and
+ * serving.loader.artifact_rejects say which. That happens at most once
+ * per key, and so do quantization and conversion of the prototype
+ * (lazily, on first use); everything handed out is a private clone of
+ * a cached network.
  */
 class ServableLoader
 {
   public:
+    ServableLoader();
+    ~ServableLoader();
+
     static ServableLoader &global();
 
     /** Clone of the trained (or epochs==0: seeded) float network. */
@@ -114,6 +150,9 @@ class ServableLoader
 
     std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Cached>> cache_;
+    obs::Counter &artifactLoads_;
+    obs::Counter &trained_;
+    obs::Counter &artifactRejects_;
 };
 
 } // namespace serving

@@ -8,19 +8,27 @@
  * the device/circuit/arch stack fails here even if accuracy metrics
  * happen to survive it.
  *
+ * The servable weight artifacts under src/serving/artifacts/ are
+ * goldens too: Golden.ServableArtifactsRetrainBitIdentical retrains
+ * each shipped prototype from its spec and requires the committed
+ * file, and the copy compiled into the library, byte for byte.
+ *
  * To regenerate after an *intentional* numeric change:
  *
  *     NEBULA_REGEN_GOLDEN=1 ./build/tests/golden_test
  *
  * and commit the rewritten files together with the change that
- * justifies them.
+ * justifies them (then rebuild, so the library embeds the new
+ * artifacts).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -33,6 +41,8 @@
 #include "nn/models.hpp"
 #include "nn/quantize.hpp"
 #include "runtime/request.hpp"
+#include "serving/artifacts.hpp"
+#include "serving/models.hpp"
 #include "snn/hybrid.hpp"
 
 namespace nebula {
@@ -368,6 +378,48 @@ TEST(Golden, HybridAccumulatorSums)
     }
     addInt(g, "boundary_neurons", hybrid.boundaryNeurons());
     checkGolden("hybrid_accum.txt", g);
+}
+
+TEST(Golden, ServableArtifactsRetrainBitIdentical)
+{
+    // The default prototypes the serving examples and benchmark load.
+    for (const char *family : {"mlp3", "lenet5"}) {
+        serving::ServableModelSpec spec;
+        spec.family = family;
+        const std::string key = serving::trainingKey(spec);
+        Network net = serving::trainServable(spec);
+        const std::vector<uint8_t> retrained =
+            serving::encodeArtifact(key, net);
+
+        const std::string path = std::string(NEBULA_SOURCE_DIR) +
+                                 "/src/serving/artifacts/" + family +
+                                 ".artifact";
+        if (regenRequested()) {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(reinterpret_cast<const char *>(retrained.data()),
+                      static_cast<std::streamsize>(retrained.size()));
+            ASSERT_TRUE(out.good()) << "cannot write " << path;
+            continue;
+        }
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in.good()) << "missing artifact " << path
+                               << " -- generate it with "
+                               << "NEBULA_REGEN_GOLDEN=1 ./golden_test";
+        const std::vector<uint8_t> committed(
+            (std::istreambuf_iterator<char>(in)),
+            std::istreambuf_iterator<char>());
+        EXPECT_TRUE(committed == retrained)
+            << family << ": retraining from the spec no longer gives the "
+            << "committed weights -- regenerate with NEBULA_REGEN_GOLDEN=1 "
+            << "only if the trainer change is intentional";
+
+        const serving::ArtifactView embedded = serving::findArtifact(key);
+        ASSERT_NE(embedded.data, nullptr)
+            << family << ": no embedded artifact carries " << key;
+        EXPECT_TRUE(std::equal(embedded.data, embedded.data + embedded.size,
+                               committed.begin(), committed.end()))
+            << family << ": the library embeds a stale copy -- rebuild";
+    }
 }
 
 } // namespace

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -96,8 +96,7 @@ TEST(Network, FoldBatchNormPreservesFunction)
 TEST(Network, SaveLoadRoundTrip)
 {
     Network a = tinyConvNet(7);
-    const std::string path = "/tmp/nebula_net_test.bin";
-    ASSERT_TRUE(a.save(path));
+    const std::vector<uint8_t> bytes = a.save();
 
     Network b = tinyConvNet(8); // different seed -> different weights
     Tensor probe({1, 1, 8, 8});
@@ -109,24 +108,34 @@ TEST(Network, SaveLoadRoundTrip)
         same &= (ya[i] == yb[i]);
     EXPECT_FALSE(same);
 
-    ASSERT_TRUE(b.load(path));
+    ASSERT_TRUE(b.load(bytes.data(), bytes.size()));
     Tensor yb2 = b.forward(probe);
     for (long long i = 0; i < ya.size(); ++i)
         EXPECT_FLOAT_EQ(ya[i], yb2[i]);
-    std::remove(path.c_str());
 }
 
 TEST(Network, LoadRejectsWrongShape)
 {
     Network a = tinyConvNet(10);
-    const std::string path = "/tmp/nebula_net_test2.bin";
-    ASSERT_TRUE(a.save(path));
+    const std::vector<uint8_t> bytes = a.save();
 
     Rng rng(11);
     Network other("other");
     other.add<Linear>(4, 2)->initKaiming(rng);
-    EXPECT_FALSE(other.load(path));
-    std::remove(path.c_str());
+    EXPECT_FALSE(other.load(bytes.data(), bytes.size()));
+}
+
+TEST(Network, LoadRejectsShortOrLongBuffersUntouched)
+{
+    Network a = tinyConvNet(14);
+    std::vector<uint8_t> bytes = a.save();
+    Network b = tinyConvNet(15);
+    const std::vector<uint8_t> before = b.save();
+
+    EXPECT_FALSE(b.load(bytes.data(), bytes.size() - 1));
+    bytes.push_back(0);
+    EXPECT_FALSE(b.load(bytes.data(), bytes.size()));
+    EXPECT_EQ(b.save(), before) << "a rejected buffer changed the weights";
 }
 
 TEST(Network, CopyStateFrom)

@@ -126,14 +126,13 @@ TEST(QuantizeNetwork, AccuracyDegradesMonotonicallyOnAverage)
     cfg.epochs = 5;
     SgdTrainer trainer(cfg);
     trainer.train(base, train_set);
-    const std::string path = "/tmp/nebula_quant_sweep.bin";
-    ASSERT_TRUE(base.save(path));
+    const std::vector<uint8_t> weights = base.save();
     const Tensor calibration = train_set.firstImages(64);
 
     // Accuracy at 2 levels should be clearly below accuracy at 16.
     auto acc_at = [&](int levels) {
         Network net = buildMlp3(16, 1, 10, 6);
-        EXPECT_TRUE(net.load(path));
+        EXPECT_TRUE(net.load(weights.data(), weights.size()));
         quantizeNetwork(net, calibration, levels, 16);
         return evaluateAccuracy(net, test_set);
     };
@@ -141,7 +140,6 @@ TEST(QuantizeNetwork, AccuracyDegradesMonotonicallyOnAverage)
     const double acc16 = acc_at(16);
     EXPECT_GT(acc16, acc2 - 0.02);
     EXPECT_GT(acc16, 0.8);
-    std::remove(path.c_str());
 }
 
 TEST(WeightNoise, TenPercentCostsLittleAccuracy)

@@ -16,8 +16,11 @@
  *
  * Every servable here uses epochs == 0 (seeded, untrained weights):
  * the serving plumbing under test is training-agnostic and this keeps
- * the suite fast and TSan-friendly. The one exception is the
- * learning-rate key test, which trains two tiny one-epoch prototypes.
+ * the suite fast and TSan-friendly. The exceptions are the
+ * learning-rate key test, which trains two tiny one-epoch prototypes,
+ * and the weight-artifact tests, which train the default mlp3
+ * prototype to compare an artifact hit, a key miss and every refused
+ * artifact against training.
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +40,7 @@
 #include <vector>
 
 #include "nn/datasets.hpp"
+#include "nn/models.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/replica.hpp"
 #include "runtime/request.hpp"
@@ -565,6 +569,136 @@ TEST(ServableLoader, LearningRateIsKeyedExactly)
     Network b = loader.trainedNetwork(fine);
     EXPECT_FALSE(sameParameters(a, b))
         << "specs differing past the 6th digit shared one prototype";
+}
+
+/** The default mlp3 prototype: the spec its shipped artifact is keyed by. */
+ServableModelSpec
+shippedMlp3()
+{
+    ServableModelSpec spec;
+    EXPECT_TRUE(parseServableId("mlp3/ann", spec));
+    return spec;
+}
+
+/** The first 64 images of @p spec's training set. */
+Tensor
+trainingSetPrefix(const ServableModelSpec &spec)
+{
+    return SyntheticDigits(spec.trainImages, spec.imageSize, 1)
+        .firstImages(64);
+}
+
+double
+loaderCount(const char *name)
+{
+    return obs::MetricsRegistry::global().counterValue(
+        std::string("serving.loader.") + name);
+}
+
+TEST(ServableLoader, ArtifactHitMatchesTraining)
+{
+    const ServableModelSpec spec = shippedMlp3();
+    const ArtifactView artifact = findArtifact(trainingKey(spec));
+    ASSERT_NE(artifact.data, nullptr) << "no artifact for the default mlp3";
+
+    ArtifactStatus status = ArtifactStatus::Missing;
+    Network loaded = servablePrototype(spec, artifact, status);
+    EXPECT_EQ(status, ArtifactStatus::Loaded);
+    Network trained = trainServable(spec);
+    EXPECT_EQ(loaded.save(), trained.save());
+
+    ServableLoader loader; // empty cache: this lookup is a miss
+    const double loads = loaderCount("artifact_loads");
+    const double trainings = loaderCount("trained");
+    Network served = loader.trainedNetwork(spec);
+    EXPECT_EQ(served.save(), trained.save());
+    EXPECT_EQ(loaderCount("artifact_loads"), loads + 1);
+    EXPECT_EQ(loaderCount("trained"), trainings);
+    // A loaded prototype calibrates on the batch training would have.
+    EXPECT_TRUE(bitEqual(loader.calibration(spec), trainingSetPrefix(spec)));
+}
+
+TEST(ServableLoader, OneTrainingFieldOffTrains)
+{
+    ServableModelSpec spec = shippedMlp3();
+    spec.learningRate = 0.08000001; // prints as 0.08 at 6 digits
+    EXPECT_EQ(findArtifact(trainingKey(spec)).data, nullptr);
+
+    ServableLoader loader;
+    const double loads = loaderCount("artifact_loads");
+    const double trainings = loaderCount("trained");
+    const double rejects = loaderCount("artifact_rejects");
+    Network served = loader.trainedNetwork(spec);
+    EXPECT_EQ(loaderCount("trained"), trainings + 1);
+    EXPECT_EQ(loaderCount("artifact_loads"), loads);
+    EXPECT_EQ(loaderCount("artifact_rejects"), rejects);
+
+    Network trained = trainServable(spec);
+    EXPECT_EQ(served.save(), trained.save());
+    EXPECT_NE(served.save(), loader.trainedNetwork(shippedMlp3()).save());
+    EXPECT_TRUE(bitEqual(loader.calibration(spec), trainingSetPrefix(spec)));
+}
+
+TEST(ServableLoader, RefusedArtifactsAreTypedAndTrain)
+{
+    const ServableModelSpec spec = shippedMlp3();
+    const std::string key = trainingKey(spec);
+    const ArtifactView artifact = findArtifact(key);
+    ASSERT_NE(artifact.data, nullptr);
+    const std::vector<uint8_t> good(artifact.data,
+                                    artifact.data + artifact.size);
+
+    std::vector<uint8_t> flipped = good;
+    flipped.back() ^= 0x01; // one payload bit
+    std::vector<uint8_t> truncated(good.begin(), good.end() - 1);
+    std::vector<uint8_t> bad_magic = good;
+    bad_magic.front() ^= 0xff;
+    std::vector<uint8_t> renamed = good;
+    renamed[8] ^= 0x20; // first key byte: "mlp3 ..." -> "Mlp3 ..."
+
+    // What training gives: ArtifactHitMatchesTraining pins that the
+    // intact artifact holds exactly these weights.
+    ArtifactStatus status = ArtifactStatus::Missing;
+    const std::vector<uint8_t> trained =
+        servablePrototype(spec, artifact, status).save();
+    ASSERT_EQ(status, ArtifactStatus::Loaded);
+
+    struct Case
+    {
+        const char *name;
+        const std::vector<uint8_t> &bytes;
+        ArtifactStatus expected;
+    };
+    const Case cases[] = {
+        {"flipped payload byte", flipped, ArtifactStatus::DigestMismatch},
+        {"truncated tail", truncated, ArtifactStatus::LengthMismatch},
+        {"bad magic", bad_magic, ArtifactStatus::BadHeader},
+        {"renamed header key", renamed, ArtifactStatus::KeyMismatch},
+    };
+    Network seeded = buildMlp3(spec.imageSize, 1, spec.classes, spec.seed);
+    const std::vector<uint8_t> untouched = seeded.save();
+    for (const Case &c : cases) {
+        const ArtifactView view{c.bytes.data(), c.bytes.size()};
+        EXPECT_EQ(loadArtifact(view, key, seeded), c.expected) << c.name;
+        EXPECT_EQ(seeded.save(), untouched) << c.name << " touched the net";
+
+        Network fallback = servablePrototype(spec, view, status);
+        EXPECT_EQ(status, c.expected) << c.name;
+        EXPECT_EQ(fallback.save(), trained)
+            << c.name << " did not fall back to training";
+    }
+
+    // The intact artifact offered under another spec's key.
+    ServableModelSpec other = spec;
+    other.learningRate = 0.08000001;
+    EXPECT_EQ(loadArtifact(artifact, trainingKey(other), seeded),
+              ArtifactStatus::KeyMismatch);
+
+    // A payload that verifies but does not fit the topology.
+    Network lenet = buildLenet5(spec.imageSize, 1, spec.classes, spec.seed);
+    EXPECT_EQ(loadArtifact(artifact, key, lenet),
+              ArtifactStatus::LayoutMismatch);
+    EXPECT_EQ(loadArtifact({}, key, lenet), ArtifactStatus::Missing);
 }
 
 // ---------------------------------------------------------------------------
