@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "arch/pipeline.hpp"
-#include "circuit/driver.hpp"
 #include "common/logging.hpp"
 #include "common/simd.hpp"
 #include "nn/activations.hpp"
@@ -49,6 +48,14 @@ publishMappingMetrics(const char *mode, const NebulaConfig &config,
     NEBULA_DEBUG("chip", mode, " programmed: ", mapping.layers.size(),
                  " weight layers on ", mapping.totalCores(), " cores / ",
                  mapping.totalAcs(), " crossbars");
+}
+
+/** Give @p t the shape @p dims, allocating only if it has another. */
+void
+ensureShape(Tensor &t, std::initializer_list<int> dims)
+{
+    if (!std::ranges::equal(t.shape(), dims))
+        t = Tensor(std::vector<int>(dims));
 }
 
 /** @p image with a leading batch dimension of 1. */
@@ -117,8 +124,9 @@ estimateEnergyBreakdown(const ChipStats &before, const ChipStats &after,
 
 NebulaChip::NebulaChip(const NebulaConfig &config, double variation_sigma,
                        uint64_t seed)
-    : config_(config), variationSigma_(variation_sigma), seed_(seed),
-      mapper_(config), runSeeds_(seed ^ 0xc41bu)
+    : config_(config), dac_(config.precisionBits, 0.75),
+      variationSigma_(variation_sigma), seed_(seed), mapper_(config),
+      runSeeds_(seed ^ 0xc41bu)
 {
     NocConfig noc_cfg;
     noc_cfg.width = config_.meshWidth;
@@ -385,14 +393,15 @@ NebulaChip::emitGroup(MappedLayer &layer, size_t g, double *currents,
         const double *bias_cur = layer.biasDrive[g].data();
         const float step = layer.outputCeiling / (mappedLevels() - 1);
         std::vector<int> &codes = prog_.codes;
-        codes.resize(static_cast<size_t>(cols));
-        for (int b = 0; b < batch; ++b, currents += cols) {
+        codes.resize(static_cast<size_t>(batch) * cols);
+        for (int b = 0; b < batch; ++b)
             for (int j = 0; j < cols; ++j)
-                currents[j] += bias_cur[j];
-            layer.nus[g]->evaluateInto(currents, cols, codes.data());
+                currents[b * cols + j] += bias_cur[j];
+        layer.nus[g]->evaluateInto(currents, batch * cols, codes.data());
+        const int *code = codes.data();
+        for (int b = 0; b < batch; ++b, code += cols)
             for (int j = 0; j < cols; ++j)
-                out[j * stride + b] = codes[static_cast<size_t>(j)] * step;
-        }
+                out[j * stride + b] = code[j] * step;
         return;
     }
     // The division by kappa stays a division, and an input ceiling of 1
@@ -423,55 +432,53 @@ NebulaChip::readGroup(MappedLayer &layer, size_t g,
     emitGroup(layer, g, eval.currents.data(), 1, out, stride);
 }
 
-Tensor
+void
 NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
-                          bool binary)
+                          bool binary, Tensor &output)
 {
     obs::TraceSpan span("chip", "layer.eval");
     span.arg("layer", static_cast<double>(layer.map.layerIndex));
     const long long evals_before = stats_.crossbarEvals;
 
     const Layer &src = *layer.source;
-    const DacDriver dac(config_.precisionBits, 0.75);
-    const float in_ceiling = layer.inputCeiling;
-    const int levels = mappedLevels();
+    const bool dw = src.kind() == LayerKind::DwConv;
+    const bool conv = dw || src.kind() == LayerKind::Conv;
+    NEBULA_ASSERT(conv || src.kind() == LayerKind::Linear,
+                  "unsupported weight layer on chip: ", src.name());
+    // The ANN conv read takes each element's drive voltage through the
+    // im2col table (evaluateIndexed); every other read takes voltage
+    // factors.
+    const bool indexed = conv && !binary;
     const size_t groups = layer.groups.size();
 
-    // DAC code -> voltage-factor table: the second half of the
-    // normalize chain depends only on the 4-bit code, so the divide is
-    // hoisted to one table build per layer (same expression per entry).
-    std::vector<double> dac_out(static_cast<size_t>(levels));
-    for (int c = 0; c < levels; ++c)
-        dac_out[static_cast<size_t>(c)] = dac.normalizedOutput(c);
-
-    // A conv input element is gathered into up to k*k overlapping
-    // windows, so the clamp + DAC quantization runs once per element.
-    // One dark entry sits in front of the input, at offset -1: the
-    // im2col table's padding index reads it, so a gather never branches.
-    std::vector<double> norm(static_cast<size_t>(input.size()) + 1, 0.0);
+    // An input element feeds up to k*k overlapping windows, so its
+    // clamp, DAC quantization and (indexed) drive run once. One dark
+    // entry sits in front of the input, at offset -1: the im2col
+    // table's padding index reads it, so a gather never branches.
+    std::vector<double> &norm = prog_.inputs;
+    norm.resize(static_cast<size_t>(input.size()) + 1);
+    norm[0] = 0.0;
     const double *in = norm.data() + 1;
     for (long long i = 0; i < input.size(); ++i) {
-        double x =
-            std::clamp(static_cast<double>(input[i]) / in_ceiling, 0.0, 1.0);
+        double x = std::clamp(
+            static_cast<double>(input[i]) / layer.inputCeiling, 0.0, 1.0);
         if (!binary)
-            x = dac_out[static_cast<size_t>(dac.quantize(x))];
-        norm[static_cast<size_t>(i) + 1] = x;
+            x = dac_.quantizedOutput(x);
+        norm[static_cast<size_t>(i) + 1] =
+            indexed ? layer.groups[0]->drive(x) : x;
     }
 
     const int kernels = src.numKernels();
-    Tensor output;
-
-    if (src.kind() == LayerKind::Linear) {
-        const auto &fc = static_cast<const Linear &>(src);
-        NEBULA_ASSERT(input.size() == fc.inFeatures(),
+    std::vector<double> &window = prog_.window;
+    if (!conv) {
+        NEBULA_ASSERT(input.size() == static_cast<const Linear &>(src)
+                                          .inFeatures(),
                       "linear input mismatch on chip");
-        const std::vector<double> window(in, in + input.size());
-        output = Tensor({1, kernels});
+        window.assign(in, in + input.size());
+        ensureShape(output, {1, kernels});
         for (size_t g = 0; g < groups; ++g)
             readGroup(layer, g, &window, output.data(), 1);
-    } else if (src.kind() == LayerKind::Conv ||
-               src.kind() == LayerKind::DwConv) {
-        const bool dw = src.kind() == LayerKind::DwConv;
+    } else {
         NEBULA_ASSERT(!dw || layer.dwKernelsPerAc > 0,
                       "depthwise layer not diagonal-packed");
         const auto geometry = [](const auto &conv) {
@@ -485,8 +492,7 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
         const int out_h = (in_h + 2 * pad - k) / stride + 1;
         const int out_w = (in_w + 2 * pad - k) / stride + 1;
         const size_t plane = static_cast<size_t>(out_h) * out_w;
-
-        output = Tensor({1, kernels, out_h, out_w});
+        ensureShape(output, {1, kernels, out_h, out_w});
         float *out_p = output.data();
 
         // im2col tables: the input offset of every window element,
@@ -495,8 +501,8 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
         // one table serves all column groups; a diagonal-packed DwConv
         // group's window spans only its own channels, so each group has
         // a table. Built on the first input of each (H, W) and kept on
-        // the layer; a gather is then one table walk with no bounds
-        // checks, shared by the ANN rows and the SNN windows.
+        // the layer: the ANN read's tiles load their drives through it,
+        // and an SNN window is one table walk with no bounds checks.
         if (layer.gatherH != in_h || layer.gatherW != in_w) {
             layer.gather.assign(dw ? groups : 1, {});
             for (size_t t = 0; t < layer.gather.size(); ++t) {
@@ -525,37 +531,30 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
             layer.gatherH = in_h;
             layer.gatherW = in_w;
         }
-        // Gather @p count consecutive windows of group @p g from window
-        // @p first on. A Conv's groups share group 0's windows, so only
-        // a DwConv group past the first gathers again.
-        std::vector<double> windows;
-        auto gatherWindows = [&](size_t g, size_t first, int count) {
-            if (!dw && g > 0)
-                return;
-            const size_t rows = static_cast<size_t>(layer.groups[g]->rows());
-            const int *idx = layer.gather[g].data() + first * rows;
-            windows.resize(static_cast<size_t>(count) * rows);
-            for (size_t e = 0; e < windows.size(); ++e)
-                windows[e] = in[idx[e]];
+        // The im2col rows of group @p g's windows from window @p first.
+        const auto table = [&](size_t g, size_t first) {
+            return layer.gather[dw ? g : 0].data() +
+                   first * static_cast<size_t>(layer.groups[g]->rows());
         };
 
-        if (!binary) {
-            // ANN mode: batch one output row of windows per crossbar
-            // call so the cached conductance matrix streams once per
-            // out_w windows instead of once per window. Each window's
-            // results are bit-identical to its own readGroup call.
+        if (indexed) {
+            // ANN mode: one output row of windows per crossbar call, so
+            // the cached conductance matrix streams once per four
+            // windows. Each window's results are bit-identical to its
+            // own solo read; the row's energy is one window-order sum.
+            prog_.currents.resize(static_cast<size_t>(out_w) *
+                                  layer.groupKernels);
+            prog_.checks.resize(static_cast<size_t>(out_w));
             for (int oh = 0; oh < out_h; ++oh)
                 for (size_t g = 0; g < groups; ++g) {
                     const size_t first = static_cast<size_t>(oh) * out_w;
-                    gatherWindows(g, first, out_w);
-                    CrossbarBatchEval eval =
-                        layer.groups[g]->evaluateIdealBatch(
-                            windows, out_w, config_.cycleTime);
+                    stats_.crossbarEnergy += layer.groups[g]->evaluateIndexed(
+                        in, table(g, first), out_w, config_.cycleTime,
+                        prog_.currents.data(), prog_.checks.data());
                     stats_.crossbarEvals += out_w;
-                    stats_.crossbarEnergy += eval.energy;
-                    for (const CrossbarCheck &check : eval.checks)
+                    for (const CrossbarCheck &check : prog_.checks)
                         billCheck(stats_, check);
-                    emitGroup(layer, g, eval.currents.data(), out_w,
+                    emitGroup(layer, g, prog_.currents.data(), out_w,
                               out_p + first, plane);
                 }
         } else {
@@ -564,16 +563,17 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
             // the dense read is the spike driver's read bit for bit.
             for (size_t pos = 0; pos < plane; ++pos)
                 for (size_t g = 0; g < groups; ++g) {
-                    gatherWindows(g, pos, 1);
-                    readGroup(layer, g, &windows, out_p + pos, plane);
+                    const int *idx = table(g, pos);
+                    window.resize(
+                        static_cast<size_t>(layer.groups[g]->rows()));
+                    for (size_t e = 0; e < window.size(); ++e)
+                        window[e] = in[idx[e]];
+                    readGroup(layer, g, &window, out_p + pos, plane);
                 }
         }
-    } else {
-        NEBULA_PANIC("unsupported weight layer on chip: ", src.name());
     }
     span.arg("crossbar_evals",
              static_cast<double>(stats_.crossbarEvals - evals_before));
-    return output;
 }
 
 Tensor
@@ -665,7 +665,7 @@ NebulaChip::runStages(const Tensor &input)
             break;
         case Stage::Kind::Mapped: {
             MappedLayer &layer = layers_[stage.mapped];
-            stage.out = evaluateLayer(layer, *x, spiking);
+            evaluateLayer(layer, *x, spiking, stage.out);
             if (!spiking && !layer.hasActivation) {
                 // Output layer: partial sums digitized by the ADC.
                 stats_.adcConversions += stage.out.size();

@@ -32,6 +32,7 @@
 #include "arch/energy_model.hpp"
 #include "arch/mapping.hpp"
 #include "circuit/crossbar.hpp"
+#include "circuit/driver.hpp"
 #include "circuit/neuron_unit.hpp"
 #include "nn/quantize.hpp"
 #include "noc/noc.hpp"
@@ -220,12 +221,13 @@ class NebulaChip
                          const std::vector<float> &cells);
 
     /**
-     * Evaluate a mapped weight layer on a real-unit input tensor,
-     * returning real-unit pre-activations (1, K, H', W') or (1, K).
+     * Evaluate a mapped weight layer on a real-unit input tensor into
+     * @p output as real-unit pre-activations (1, K, H', W') or (1, K),
+     * reusing its storage when the shape matches.
      * @param binary True when inputs are spike maps (SNN drivers).
      */
-    Tensor evaluateLayer(MappedLayer &layer, const Tensor &input,
-                         bool binary);
+    void evaluateLayer(MappedLayer &layer, const Tensor &input, bool binary,
+                       Tensor &output);
 
     /**
      * Rebuild column group @p g's outputs for @p batch windows (the
@@ -279,7 +281,12 @@ class NebulaChip
         bool sparseInput = false;  //!< first stage reads encoder rows
         Tensor spikeBuf;           //!< encoder output (dense input)
         SpikeVector active;        //!< active-row list between stages
-        CrossbarEval evalWs;       //!< crossbar result workspace
+        /** One layer's input factors (indexed read: drives), dark first. */
+        std::vector<double> inputs;
+        std::vector<double> window; //!< one solo read's input factors
+        CrossbarEval evalWs;       //!< solo read result workspace
+        std::vector<double> currents;      //!< indexed read currents
+        std::vector<CrossbarCheck> checks; //!< indexed read verdicts
         std::vector<int> codes;    //!< neuron-unit output levels
         PoissonEncoder::EncodePlan encPlan; //!< per-run encode plan
     };
@@ -309,6 +316,7 @@ class NebulaChip
     void publishRun(const ChipStats &before, Mode mode) const;
 
     NebulaConfig config_;
+    DacDriver dac_; //!< ANN input drivers: precisionBits DAC at 0.75 V
     double variationSigma_;
     uint64_t seed_;
     ReliabilityConfig rel_;

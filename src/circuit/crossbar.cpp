@@ -54,35 +54,43 @@ soloColsTile16(const double *dense, size_t stride, const int *active,
 }
 
 /**
- * Register-tiled four-window kernel (the GEMM-style micro-kernel of the
- * batched evaluation): a 4-window x 8-column accumulator tile is held
- * in registers across the whole row walk, so each conductance element
- * is loaded once per tile and feeds four multiply-add streams with no
- * output traffic in the inner loop. Per (window, column) the partial
- * sum still grows in ascending active-row order, and rows every window
- * leaves dark are skipped -- a zero drive voltage only ever contributes
- * an exact +0.0 to the non-negative partials -- so every window remains
- * bit-identical to a standalone soloColsTile16 walk. Like the solo
- * tile it runs at full width over the padded row.
+ * Register-tiled four-window tile of the indexed read: a 4-window x
+ * 8-column accumulator block is held in registers across the whole row
+ * walk, so each conductance element is loaded once per tile and feeds
+ * four multiply-add streams with no output traffic in the inner loop.
+ * Each window's drive comes straight from the per-element drive array
+ * through its im2col row (index -1 reads the dark entry, drive[-1] ==
+ * 0). Every row is walked: a dark row adds an exact +0.0 to a partial
+ * that is never -0.0, so per (window, column) the sum is bit-identical
+ * to the solo tile's walk over only the driven rows. Like the solo tile
+ * it runs at full width over the padded row.
  *
- * @param active Ascending row indices where at least one window drives.
- * @param va     Packed per-active-row voltages: va[4*a + w] for window w.
- * @param out    Window 0's output columns [j0, j0+width); windows 1..3
- *               follow at +out_stride each. width <= 8.
+ * With @p kChains the same walk also runs the solo read's chains for
+ * the four windows: ref[w] += v * refCol[i] and power[w] += v * v *
+ * rowGsum[i], in ascending row order.
+ *
+ * @param win  Four windows' im2col rows of @p rows input offsets.
+ * @param live Windows whose columns are stored (the rest repeat the last).
+ * @param out  Window 0's output columns [j0, j0+width); windows 1..3
+ *             follow at +out_stride each. width <= 8.
  */
-NEBULA_TARGET_CLONES void
-windowColsTile4x8(const double *dense, size_t stride, const int *active,
-                  int n_active, const double *va, int j0, int width,
-                  double *out, size_t out_stride)
+template <bool kChains>
+[[gnu::always_inline]] inline void
+indexedTile4x8(const double *dense, size_t stride, int rows,
+               const double *drive, const int *const *win, int j0, int width,
+               int live, double *out, size_t out_stride,
+               const double *ref_col, const double *row_gsum, double *ref,
+               double *power)
 {
+    const int *w0 = win[0], *w1 = win[1], *w2 = win[2], *w3 = win[3];
     double acc[4][8] = {};
-    for (int a = 0; a < n_active; ++a) {
-        const double v0 = va[4 * a + 0];
-        const double v1 = va[4 * a + 1];
-        const double v2 = va[4 * a + 2];
-        const double v3 = va[4 * a + 3];
-        const double *g =
-            dense + static_cast<size_t>(active[a]) * stride + j0;
+    double r[4] = {}, p[4] = {};
+    for (int i = 0; i < rows; ++i) {
+        const double v0 = drive[w0[i]];
+        const double v1 = drive[w1[i]];
+        const double v2 = drive[w2[i]];
+        const double v3 = drive[w3[i]];
+        const double *g = dense + static_cast<size_t>(i) * stride + j0;
         for (int t = 0; t < 8; ++t) {
             const double gg = g[t];
             acc[0][t] += v0 * gg;
@@ -90,53 +98,73 @@ windowColsTile4x8(const double *dense, size_t stride, const int *active,
             acc[2][t] += v2 * gg;
             acc[3][t] += v3 * gg;
         }
+        if constexpr (kChains) {
+            const double gr = ref_col[i];
+            const double gs = row_gsum[i];
+            r[0] += v0 * gr;
+            r[1] += v1 * gr;
+            r[2] += v2 * gr;
+            r[3] += v3 * gr;
+            p[0] += v0 * v0 * gs;
+            p[1] += v1 * v1 * gs;
+            p[2] += v2 * v2 * gs;
+            p[3] += v3 * v3 * gs;
+        }
     }
-    for (int w = 0; w < 4; ++w)
+    for (int w = 0; w < live; ++w)
         std::copy_n(acc[w], width,
                     out + static_cast<size_t>(w) * out_stride + j0);
+    if constexpr (kChains) {
+        std::copy(r, r + 4, ref);
+        std::copy(p, p + 4, power);
+    }
 }
 
 /**
- * Reference-column current and ohmic power of four windows at once:
- * per window w, ref[w] += v * refCol[i] and power[w] += v * v *
- * rowGsum[i] over the active rows in ascending order -- the solo read's
- * chains, interleaved so they no longer wait on each other.
- *
- * @param va Packed per-active-row voltages: va[4*a + w] for window w.
+ * One four-window group of the indexed read: every column tile of the
+ * group's windows (row-major, @p cols per window), the first carrying
+ * the reference and power chains.
  */
 NEBULA_TARGET_CLONES void
-windowChains4(const int *active, int n_active, const double *va,
-              const double *ref_col, const double *row_gsum, double *ref,
-              double *power)
+indexedGroup4(const double *dense, size_t stride, int rows, int cols,
+              const double *drive, const int *const *win, int live,
+              double *out, const double *ref_col, const double *row_gsum,
+              double *ref, double *power)
 {
-    double r[4] = {};
-    double p[4] = {};
-    for (int a = 0; a < n_active; ++a) {
-        const size_t i = static_cast<size_t>(active[a]);
-        for (int w = 0; w < 4; ++w) {
-            const double v = va[4 * a + w];
-            r[w] += v * ref_col[i];
-            p[w] += v * v * row_gsum[i];
-        }
-    }
-    std::copy(r, r + 4, ref);
-    std::copy(p, p + 4, power);
+    const size_t out_stride = static_cast<size_t>(cols);
+    indexedTile4x8<true>(dense, stride, rows, drive, win, 0,
+                         std::min(8, cols), live, out, out_stride, ref_col,
+                         row_gsum, ref, power);
+    for (int j = 8; j < cols; j += 8)
+        indexedTile4x8<false>(dense, stride, rows, drive, win, j,
+                              std::min(8, cols - j), live, out, out_stride,
+                              nullptr, nullptr, nullptr, nullptr);
 }
 
-/** ABFT counterpart of windowChains4: checksum current and sum of v^2. */
+/**
+ * ABFT chains of four indexed windows: per window w, chk[w] += v *
+ * chkCol[i] and vsq[w] += v * v over every row in ascending order.
+ */
 NEBULA_TARGET_CLONES void
-windowChecksum4(const int *active, int n_active, const double *va,
-                const double *chk_col, double *chk, double *vsq)
+indexedChecksum4(int rows, const double *drive, const int *const *win,
+                 const double *chk_col, double *chk, double *vsq)
 {
-    double k[4] = {};
-    double q[4] = {};
-    for (int a = 0; a < n_active; ++a) {
-        const size_t i = static_cast<size_t>(active[a]);
-        for (int w = 0; w < 4; ++w) {
-            const double v = va[4 * a + w];
-            k[w] += v * chk_col[i];
-            q[w] += v * v;
-        }
+    const int *w0 = win[0], *w1 = win[1], *w2 = win[2], *w3 = win[3];
+    double k[4] = {}, q[4] = {};
+    for (int i = 0; i < rows; ++i) {
+        const double v0 = drive[w0[i]];
+        const double v1 = drive[w1[i]];
+        const double v2 = drive[w2[i]];
+        const double v3 = drive[w3[i]];
+        const double gk = chk_col[i];
+        k[0] += v0 * gk;
+        k[1] += v1 * gk;
+        k[2] += v2 * gk;
+        k[3] += v3 * gk;
+        q[0] += v0 * v0;
+        q[1] += v1 * v1;
+        q[2] += v2 * v2;
+        q[3] += v3 * v3;
     }
     std::copy(k, k + 4, chk);
     std::copy(q, q + 4, vsq);
@@ -693,7 +721,7 @@ CrossbarArray::evalCache() const
         }
     }
     c.active.resize(static_cast<size_t>(rows));
-    c.va.resize(static_cast<size_t>(rows) * 4);
+    c.va.resize(static_cast<size_t>(rows));
     c.valid = true;
     return c;
 }
@@ -767,7 +795,7 @@ CrossbarArray::evaluateIdealInto(const std::vector<double> &inputs,
     // at the next slot, which advances only if the row is driven.
     int n_active = 0;
     for (int i = 0; i < p_.rows; ++i) {
-        const double v = std::clamp(inputs[i], 0.0, 1.0) * p_.readVoltage;
+        const double v = drive(inputs[i]);
         c.active[static_cast<size_t>(n_active)] = i;
         c.va[static_cast<size_t>(n_active)] = v;
         n_active += v != 0.0;
@@ -791,90 +819,37 @@ CrossbarArray::evaluateSparseInto(const SpikeVector &active,
     readWindow(active.data(), n_active, duration, eval);
 }
 
-CrossbarBatchEval
-CrossbarArray::evaluateIdealBatch(const std::vector<double> &inputs,
-                                  int batch, double duration) const
+double
+CrossbarArray::evaluateIndexed(const double *drive, const int *index,
+                               int batch, double duration, double *currents,
+                               CrossbarCheck *checks) const
 {
     NEBULA_ASSERT(batch > 0, "empty evaluation batch");
-    NEBULA_ASSERT(inputs.size() ==
-                      static_cast<size_t>(batch) * p_.rows,
-                  "batched input size mismatch");
-
     const int cols = p_.cols;
     const int rows = p_.rows;
-    CrossbarBatchEval eval;
-    EvalCache &c = evalCache();
-    // Windows go in groups of four; a short last group is padded with
-    // dark windows whose output rows are dropped before returning.
-    const int padded = (batch + 3) / 4 * 4;
-    eval.currents.assign(static_cast<size_t>(padded) * cols, 0.0);
-    if (p_.abft)
-        eval.checks.reserve(static_cast<size_t>(batch));
-    const std::vector<double> dark(padded > batch ? rows : 0, 0.0);
-
-    // Register-tiled groups of four windows (the batched GEMM-style
-    // path): gather the rows at least one window drives, pack the four
-    // drive voltages per active row (the exact clamp + supply
-    // expression of evaluateIdealInto()), then walk column tiles whose
-    // 4x8 accumulator block lives in registers across the whole row
-    // walk. Per (window, column) the partial sum still grows in
-    // ascending row order -- a dark row only ever contributes an exact
-    // +-0.0 to a partial that is never -0.0 -- so each window stays
-    // bit-identical to a standalone evaluateIdeal. Image windows share
-    // a lot of dark rows (blank borders, post-ReLU zeros), so the
-    // shared active list also skips most of the work the solo path
-    // skips.
-    const double supply = p_.readVoltage;
-    int *active = c.active.data();
-    double *va = c.va.data();
+    const EvalCache &c = evalCache();
+    // Windows go in groups of four; a short last group repeats its last
+    // window, whose spare results are never stored.
+    double energy = 0.0;
     for (int b = 0; b < batch; b += 4) {
-        const double *w[4];
+        const int live = std::min(4, batch - b);
+        const int *win[4];
         for (int l = 0; l < 4; ++l)
-            w[l] = b + l < batch ? &inputs[static_cast<size_t>(b + l) * rows]
-                                 : dark.data();
-        // Branch-free compaction, as in evaluateIdealInto().
-        int n_active = 0;
-        for (int i = 0; i < rows; ++i) {
-            const double v0 = std::clamp(w[0][i], 0.0, 1.0) * supply;
-            const double v1 = std::clamp(w[1][i], 0.0, 1.0) * supply;
-            const double v2 = std::clamp(w[2][i], 0.0, 1.0) * supply;
-            const double v3 = std::clamp(w[3][i], 0.0, 1.0) * supply;
-            double *v = &va[static_cast<size_t>(n_active) * 4];
-            v[0] = v0;
-            v[1] = v1;
-            v[2] = v2;
-            v[3] = v3;
-            active[n_active] = i;
-            n_active +=
-                (v0 != 0.0) | (v1 != 0.0) | (v2 != 0.0) | (v3 != 0.0);
-        }
-        double *out = &eval.currents[static_cast<size_t>(b) * cols];
-        for (int j = 0; j < cols; j += 8)
-            windowColsTile4x8(c.dense.data(), c.stride, active, n_active, va,
-                              j, std::min(8, cols - j), out,
-                              static_cast<size_t>(cols));
-
-        // The four windows' chains: one per window, run side by side
-        // over the same active rows in ascending order, so each matches
-        // the solo chain.
+            win[l] = index + static_cast<size_t>(b + std::min(l, live - 1)) *
+                                 rows;
+        double *out = currents + static_cast<size_t>(b) * cols;
         double ref[4], power[4], chk[4] = {}, vsq[4] = {};
-        windowChains4(active, n_active, va, c.refCol.data(),
-                      c.rowGsum.data(), ref, power);
+        indexedGroup4(c.dense.data(), c.stride, rows, cols, drive, win, live,
+                      out, c.refCol.data(), c.rowGsum.data(), ref, power);
         if (p_.abft)
-            windowChecksum4(active, n_active, va, c.chkCol.data(), chk,
-                            vsq);
-        for (int l = 0; l < 4 && b + l < batch; ++l) {
-            CrossbarCheck check;
-            eval.energy += finishWindow({ref[l], power[l], chk[l], vsq[l]},
-                                        duration,
-                                        out + static_cast<size_t>(l) * cols,
-                                        check);
-            if (p_.abft)
-                eval.checks.push_back(check);
-        }
+            indexedChecksum4(rows, drive, win, c.chkCol.data(), chk, vsq);
+        for (int l = 0; l < live; ++l)
+            energy += finishWindow({ref[l], power[l], chk[l], vsq[l]},
+                                   duration,
+                                   out + static_cast<size_t>(l) * cols,
+                                   checks[b + l]);
     }
-    eval.currents.resize(static_cast<size_t>(batch) * cols);
-    return eval;
+    return energy;
 }
 
 CrossbarCheck
@@ -938,8 +913,7 @@ CrossbarArray::evaluateParasitic(const std::vector<double> &inputs,
     vc.assign(static_cast<size_t>(rows) * cols, 0.0);
     source.resize(static_cast<size_t>(rows));
     for (int i = 0; i < rows; ++i)
-        source[static_cast<size_t>(i)] =
-            std::clamp(inputs[i], 0.0, 1.0) * p_.readVoltage;
+        source[static_cast<size_t>(i)] = drive(inputs[i]);
 
     auto g = [&](int i, int j) {
         return conductance_[static_cast<size_t>(i) * cols + j];

@@ -34,13 +34,15 @@
  * zero cells to a multiple of 16 columns, so its two column kernels --
  * a 1-window x 16-column tile and a 4-window x 8-column tile, both
  * register-blocked -- always run at full width and store only the real
- * columns. The 4-bit DAC read (evaluateIdeal), the 1-bit spike read
- * (evaluateSparseInto) and the batched read (evaluateIdealBatch) all walk
- * only the driven rows in ascending order and end in one per-window
- * finish (reference subtract, open columns, energy, ABFT check), so a
- * spike read is bit-identical to the dense read of its 0/1 vector and
- * a batched window to its solo read. tests/differential_test.cpp pins
- * each to the naive reference model in src/testing.
+ * columns. The 4-bit DAC read (evaluateIdeal) and the 1-bit spike read
+ * (evaluateSparseInto) walk only the driven rows in ascending order;
+ * the indexed conv read (evaluateIndexed) walks every row of four
+ * im2col windows at once, a dark row adding an exact +0.0. All end in
+ * one per-window finish (reference subtract, open columns, energy,
+ * ABFT check), so a spike read is bit-identical to the dense read of
+ * its 0/1 vector and an indexed window to its solo read.
+ * tests/differential_test.cpp pins each to the naive reference model
+ * in src/testing.
  *
  * Reliability: the array can carry an explicit FaultMap (stuck cells,
  * pinning drift, retention decay, line opens) injected before
@@ -54,6 +56,7 @@
 #ifndef NEBULA_CIRCUIT_CROSSBAR_HPP
 #define NEBULA_CIRCUIT_CROSSBAR_HPP
 
+#include <algorithm>
 #include <vector>
 
 #include "device/dw_params.hpp"
@@ -133,26 +136,6 @@ struct CrossbarEval
  * whose bit-line carries a spike this cycle, in ascending order.
  */
 using SpikeVector = std::vector<int>;
-
-/** Result of one batched crossbar evaluation (B input windows). */
-struct CrossbarBatchEval
-{
-    /** B x cols differential column currents, row-major (A). */
-    std::vector<double> currents;
-
-    /**
-     * Ohmic energy summed over the batch (J): the standalone
-     * evaluateIdeal() energy of each window, added in window order.
-     */
-    double energy = 0.0;
-
-    /**
-     * Per-window ABFT verdicts (empty unless CrossbarParams::abft).
-     * Each entry is bit-identical to the check a standalone
-     * evaluateIdeal() of that window reports.
-     */
-    std::vector<CrossbarCheck> checks;
-};
 
 /** A single M x N analog crossbar array. */
 class CrossbarArray
@@ -255,16 +238,34 @@ class CrossbarArray
                             CrossbarEval &eval) const;
 
     /**
-     * Evaluate @p batch input windows (row-major batch x rows) in one
-     * call. Windows are processed in register-blocked groups of four: a
-     * cached conductance row is streamed once per group and multiplied
-     * into four windows' accumulators (GEMM-style), amortizing the
-     * matrix traffic across windows; per-window currents and ABFT
-     * checks are bit-identical to @p batch separate evaluateIdeal()
-     * calls, and `energy` is the window-order sum of their energies.
+     * Drive voltage of a row for normalized input @p input: clamped to
+     * [0, 1], times the read voltage (a -0.0 input drives -0.0 V, which
+     * every read treats as dark). Every read drives its rows with it.
      */
-    CrossbarBatchEval evaluateIdealBatch(const std::vector<double> &inputs,
-                                         int batch, double duration) const;
+    double drive(double input) const
+    {
+        return std::clamp(input, 0.0, 1.0) * p_.readVoltage;
+    }
+
+    /**
+     * Read @p batch windows drawn through an im2col index table -- the
+     * ANN conv read. Window b drives row i at drive[index[b * rows + i]]:
+     * @p drive holds drive() of every input element, and index -1 reads
+     * the dark entry drive[-1], which must be 0. Windows are processed
+     * in register-blocked groups of four: a cached conductance row is
+     * streamed once per group and multiplied into four windows'
+     * accumulators (GEMM-style). Every row is walked, dark or not, with
+     * no compaction: a dark row adds an exact +0.0 to partials that are
+     * never -0.0, so each window's batch x cols @p currents and its
+     * ABFT verdict in @p checks (batch entries, reset when abft is off)
+     * are bit-identical to evaluateIdeal() of the gathered window.
+     *
+     * @return the windows' evaluateIdeal() energies summed in window
+     *         order, starting from 0.0.
+     */
+    double evaluateIndexed(const double *drive, const int *index, int batch,
+                           double duration, double *currents,
+                           CrossbarCheck *checks) const;
 
     /**
      * Evaluate with interconnect parasitics using a nodal Gauss-Seidel
@@ -349,8 +350,8 @@ class CrossbarArray
         bool anyColOpen = false;
 
         /**
-         * Read scratch: the active rows of one read and their drive
-         * voltages (rows entries; four per row for a batched group).
+         * Read scratch: the active rows of one solo read and their
+         * drive voltages (rows entries each).
          */
         std::vector<int> active;
         std::vector<double> va;

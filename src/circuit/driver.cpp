@@ -11,6 +11,8 @@ DacDriver::DacDriver(int bits, double supplyVoltage)
     : bits_(bits), levels_(1 << bits), supply_(supplyVoltage)
 {
     NEBULA_ASSERT(bits_ >= 1 && bits_ <= 12, "unsupported DAC resolution");
+    for (int c = 0; c < levels_; ++c)
+        codeOutputs_.push_back(normalizedOutput(c));
 }
 
 std::vector<double>
@@ -18,7 +20,7 @@ DacDriver::drive(const std::vector<double> &normalized) const
 {
     std::vector<double> out(normalized.size());
     for (size_t i = 0; i < normalized.size(); ++i)
-        out[i] = normalizedOutput(quantize(normalized[i]));
+        out[i] = quantizedOutput(normalized[i]);
     return out;
 }
 

@@ -46,6 +46,15 @@ class DacDriver
         return static_cast<double>(code) / (levels_ - 1);
     }
 
+    /**
+     * normalizedOutput(quantize(normalized)), read from the code table
+     * built at construction: the ANN input path, once per element.
+     */
+    double quantizedOutput(double normalized) const
+    {
+        return codeOutputs_[static_cast<size_t>(quantize(normalized))];
+    }
+
     /** Quantize a whole input vector in place, returning voltage factors. */
     std::vector<double> drive(const std::vector<double> &normalized) const;
 
@@ -56,6 +65,7 @@ class DacDriver
     int bits_;
     int levels_;
     double supply_;
+    std::vector<double> codeOutputs_; //!< normalizedOutput() per code
 };
 
 /** 1-bit spike driver for SNN inputs. */

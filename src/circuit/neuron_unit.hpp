@@ -100,14 +100,29 @@ class SpikingNeuronUnit
     double biasCurrent_ = 0.0;
 };
 
-/** NU operating as saturating-ReLU (ANN) neurons. */
+/**
+ * NU operating as saturating-ReLU (ANN) neurons.
+ *
+ * A neuron's output level is a weakly monotone function of its column
+ * current: the periphery drive, the wall's velocity law, the clamp to
+ * the track and the two roundings of the readout are each weakly
+ * monotone under correctly rounded arithmetic. So level k is reached
+ * exactly by the currents at or above one threshold -- the smallest
+ * current whose device chain reads k -- and calibrate() finds each
+ * threshold by bisection over the ordered bit patterns of the
+ * non-negative doubles. Reading a level is then a count of the
+ * thresholds a current reaches, bit-identical to driving a
+ * ReluNeuronDevice (tests/circuit_test.cpp pins it to that device
+ * chain). Every neuron of the unit shares the one calibration.
+ */
 class ReluNeuronUnit
 {
   public:
     explicit ReluNeuronUnit(const NeuronUnitParams &params);
 
     /**
-     * Set the algorithmic-to-device scaling.
+     * Set the algorithmic-to-device scaling and build the level
+     * thresholds. Until the first call every current reads level 0.
      *
      * @param current_scale Crossbar current per unit algorithmic sum.
      * @param ceiling       Algorithmic sum that saturates the output
@@ -116,26 +131,33 @@ class ReluNeuronUnit
     void calibrate(double current_scale, double ceiling);
 
     /**
-     * Evaluate one cycle of column currents into a caller-owned level
-     * buffer (the batched ANN path calls this once per window per
-     * column group, so the scratch lives with the caller instead of
-     * being allocated per call).
-     *
-     * Inline so the per-neuron device physics folds into this loop --
-     * one evaluation per output element is the ANN periphery hot path.
-     * The devices all share the unit's parameters, so a single
-     * readout table (built once in the constructor) serves every
-     * neuron; results are bit-identical to the direct device path.
+     * Output level of each of @p n column currents into @p out: any
+     * number of windows of the unit's columns at once, since every
+     * neuron shares the thresholds. A branch-free count of the
+     * thresholds each current reaches, which vectorizes across
+     * currents -- the ANN periphery hot path.
      */
-    void evaluateInto(const double *currents, int n, int *out,
-                      Rng *rng = nullptr)
+    void evaluateInto(const double *currents, int n, int *out) const
     {
-        NEBULA_ASSERT(n == p_.count, "column current count mismatch");
-        for (int i = 0; i < n; ++i) {
-            // ReLU: negative sums cannot move the wall forward.
-            const double drive = detail::nuDeviceCurrent(
-                std::max(currents[i], 0.0), currentGain_, biasCurrent_);
-            out[i] = neurons_[i].evaluate(drive, p_.window, lut_, rng);
+        // Blocks of eight currents are compared against one threshold
+        // at a time and counted in doubles, the compares' own width, so
+        // the count runs eight wide; the tail goes one by one.
+        const double *t = thresholds_.data();
+        const int top = p_.levels - 1;
+        int i = 0;
+        for (; i + 8 <= n; i += 8) {
+            double count[8] = {};
+            for (int k = 0; k < top; ++k)
+                for (int j = 0; j < 8; ++j)
+                    count[j] += currents[i + j] >= t[k] ? 1.0 : 0.0;
+            for (int j = 0; j < 8; ++j)
+                out[i + j] = std::min(static_cast<int>(count[j]), maxLevel_);
+        }
+        for (; i < n; ++i) {
+            int count = 0;
+            for (int k = 0; k < top; ++k)
+                count += currents[i] >= t[k];
+            out[i] = std::min(count, maxLevel_);
         }
     }
 
@@ -143,26 +165,42 @@ class ReluNeuronUnit
      * Evaluate one cycle of column currents.
      * @return one output level in [0, levels-1] per neuron.
      */
-    std::vector<int> evaluate(const std::vector<double> &currents,
-                              Rng *rng = nullptr)
+    std::vector<int> evaluate(const std::vector<double> &currents) const
     {
         NEBULA_ASSERT(currents.size() == static_cast<size_t>(p_.count),
                       "column current count mismatch");
         std::vector<int> levels(p_.count, 0);
-        evaluateInto(currents.data(), p_.count, levels.data(), rng);
+        evaluateInto(currents.data(), p_.count, levels.data());
         return levels;
     }
 
-    double energy() const;
+    /**
+     * Smallest column current that reads at least level @p k, for k in
+     * [1, levels-1]: -inf if every current does, +inf if no finite one
+     * does.
+     */
+    double threshold(int k) const
+    {
+        NEBULA_ASSERT(k >= 1 && k < p_.levels, "level out of range: ", k);
+        return thresholds_[static_cast<size_t>(k - 1)];
+    }
+
+    /** Periphery gain applied to the column current (calibrated). */
+    double gain() const { return currentGain_; }
+
+    /** Signed depinning bias added to a nonzero drive (calibrated). */
+    double bias() const { return biasCurrent_; }
+
     int count() const { return p_.count; }
     int levels() const { return p_.levels; }
 
   private:
     NeuronUnitParams p_;
-    std::vector<ReluNeuronDevice> neurons_;
-    ReluReadoutLut lut_;
     double currentGain_ = 1.0;
     double biasCurrent_ = 0.0;
+
+    std::vector<double> thresholds_; //!< level k's at [k - 1]
+    int maxLevel_ = 0; //!< level of a +inf current (caps the count)
 };
 
 } // namespace nebula

@@ -1,8 +1,7 @@
 /**
  * @file
- * Inline rounding for the ANN periphery hot loops (DAC input codes and
- * the neuron readout index), which would otherwise pay a libm call per
- * element.
+ * Inline rounding for the DAC input codes of the ANN periphery, which
+ * would otherwise pay a libm call per element.
  */
 
 #ifndef NEBULA_COMMON_ROUNDING_HPP

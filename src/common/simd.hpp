@@ -3,8 +3,11 @@
  * Function multi-versioning for the handful of numeric hot loops on the
  * chip's evaluation paths: the two crossbar column kernels (the
  * 1-window x 16-column solo tile every dense and spike read runs, and
- * the 4-window x 8-column batch tile), the batched read's per-window
- * chains, and the chip's group-output reconstruction (emitGroup).
+ * the indexed conv read's four-window group: 4-window x 8-column tiles
+ * loading their drives through the im2col table, with the reference
+ * and power chains in the first tile), the indexed read's ABFT chains,
+ * and the chip's group-output reconstruction (emitGroup, which inlines
+ * the neuron units' threshold-count readout).
  */
 
 #ifndef NEBULA_COMMON_SIMD_HPP

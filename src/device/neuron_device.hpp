@@ -21,26 +21,10 @@
 #include <vector>
 
 #include "common/logging.hpp"
-#include "common/rounding.hpp"
 #include "device/domain_wall.hpp"
 #include "device/mtj.hpp"
 
 namespace nebula {
-
-/**
- * Precomputed readout of the pinning states of a ReluNeuronDevice:
- * state index k = round(position / pinPitch) maps to the normalized
- * output and the quantized level. Built once per (track, levels) pair
- * with exactly the pinnedPosition() + rounding expressions of the
- * direct evaluate() path, so looked-up results are bit-identical --
- * the table only removes the per-element divides and rounds that
- * recompute the same handful of discrete values.
- */
-struct ReluReadoutLut
-{
-    std::vector<double> out;  //!< normalized output per pinning state
-    std::vector<int> level;   //!< quantized output level per state
-};
 
 /** Integrate-and-fire spiking neuron device. */
 class SpikingNeuronDevice
@@ -129,8 +113,8 @@ class ReluNeuronDevice
      *
      * @return output level in [0, levels-1] (saturating ReLU of input).
      *
-     * Inline: one call per output element per ANN crossbar cycle is the
-     * ANN periphery hot loop.
+     * The naive reference of the ANN readout: ReluNeuronUnit reads the
+     * same levels through current thresholds calibrated against it.
      */
     int evaluate(double current, double duration, int levels = 16,
                  Rng *rng = nullptr)
@@ -148,57 +132,6 @@ class ReluNeuronDevice
         track_.reset();
 
         return static_cast<int>(std::round(lastOutput_ * (levels - 1)));
-    }
-
-    /**
-     * Build the pinning-state readout table for a given output
-     * resolution. Every entry is computed with the same expression
-     * chain the direct evaluate() overload runs per call.
-     */
-    ReluReadoutLut buildReadoutLut(int levels) const
-    {
-        NEBULA_ASSERT(levels >= 2, "need at least two output levels");
-        const DwTrackParams &t = p_.track;
-        const int states =
-            static_cast<int>(std::ceil(t.length / t.pinPitch)) + 2;
-        ReluReadoutLut lut;
-        lut.out.resize(static_cast<size_t>(states));
-        lut.level.resize(static_cast<size_t>(states));
-        for (int k = 0; k < states; ++k) {
-            const double snapped = std::clamp(
-                static_cast<double>(k) * t.pinPitch, 0.0, t.length);
-            lut.out[static_cast<size_t>(k)] = snapped / t.length;
-            lut.level[static_cast<size_t>(k)] = static_cast<int>(
-                std::round(lut.out[static_cast<size_t>(k)] * (levels - 1)));
-        }
-        return lut;
-    }
-
-    /**
-     * Evaluate one cycle through a prebuilt readout table (the ANN
-     * periphery hot path): identical device physics and energy
-     * accounting as the direct overload, with the displacement readout
-     * taken from the table instead of recomputed per element.
-     */
-    int evaluate(double current, double duration,
-                 const ReluReadoutLut &lut, Rng *rng = nullptr)
-    {
-        track_.reset();
-        track_.applyCurrent(current, duration, rng);
-
-        // The wall position is clamped to [0, length]: the index
-        // rounds inline, as std::round would.
-        const int k =
-            roundNonNegative(track_.position() / p_.track.pinPitch);
-        lastOutput_ = lut.out[static_cast<size_t>(k)];
-        energy_ += std::abs(current) * std::abs(current) *
-                   p_.track.writePathResistance * duration;
-        energy_ += p_.interfacePower * duration;
-        // Reset pulse returns the wall for the next evaluation.
-        energy_ += p_.resetEnergy;
-        track_.reset();
-
-        return lut.level[static_cast<size_t>(k)];
     }
 
     /** Continuous output in [0, 1] for the most recent evaluation. */

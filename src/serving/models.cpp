@@ -92,6 +92,7 @@ parseServableId(const std::string &id, ServableModelSpec &out)
  */
 struct ServableLoader::Cached
 {
+    std::once_flag builtOnce; //!< net and calibration are set
     Network net{"uninit"};
     Tensor calibration;
 
@@ -165,14 +166,21 @@ servablePrototype(const ServableModelSpec &spec, ArtifactView artifact,
     return net;
 }
 
-ServableLoader::ServableLoader()
-    : artifactLoads_(obs::MetricsRegistry::global().counter(
+ServableLoader::ServableLoader(PrototypeSource source)
+    : source_(std::move(source)),
+      artifactLoads_(obs::MetricsRegistry::global().counter(
           "serving.loader.artifact_loads")),
       trained_(obs::MetricsRegistry::global().counter(
           "serving.loader.trained")),
       artifactRejects_(obs::MetricsRegistry::global().counter(
           "serving.loader.artifact_rejects"))
 {
+    if (!source_) {
+        source_ = [](const ServableModelSpec &spec, ArtifactStatus &status) {
+            return servablePrototype(spec, findArtifact(trainingKey(spec)),
+                                     status);
+        };
+    }
 }
 
 ServableLoader::~ServableLoader() = default;
@@ -189,32 +197,35 @@ ServableLoader::cached(const ServableModelSpec &spec)
 {
     // Mode is not part of the key: ann/snn/hybrid servables of one
     // family share the float prototype.
-    const std::string key = trainingKey(spec);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end())
-        return *it->second;
-
-    auto entry = std::make_unique<Cached>();
-    ArtifactStatus status = ArtifactStatus::Missing;
-    entry->net = servablePrototype(spec, findArtifact(key), status);
-    entry->calibration = servableCalibration(spec);
-    if (status == ArtifactStatus::Loaded) {
-        artifactLoads_.inc();
-    } else {
-        trained_.inc();
-        if (status != ArtifactStatus::Missing) {
-            artifactRejects_.inc();
-            NEBULA_WARN("servable artifact for ", spec.family, " refused (",
-                        toString(status), "); trained instead");
-        }
+    Cached *entry = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        std::unique_ptr<Cached> &slot = cache_[trainingKey(spec)];
+        if (!slot)
+            slot = std::make_unique<Cached>();
+        entry = slot.get();
     }
-
-    it = cache_.emplace(key, std::move(entry)).first;
-    NEBULA_DEBUG("serving", "servable prototype ", spec.family, ": ",
-                 status == ArtifactStatus::Loaded ? "artifact" : "trained",
-                 " (cached)");
-    return *it->second;
+    std::call_once(entry->builtOnce, [&] {
+        ArtifactStatus status = ArtifactStatus::Missing;
+        entry->net = source_(spec, status);
+        entry->calibration = servableCalibration(spec);
+        if (status == ArtifactStatus::Loaded) {
+            artifactLoads_.inc();
+        } else {
+            trained_.inc();
+            if (status != ArtifactStatus::Missing) {
+                artifactRejects_.inc();
+                NEBULA_WARN("servable artifact for ", spec.family,
+                            " refused (", toString(status),
+                            "); trained instead");
+            }
+        }
+        NEBULA_DEBUG("serving", "servable prototype ", spec.family, ": ",
+                     status == ArtifactStatus::Loaded ? "artifact"
+                                                      : "trained",
+                     " (cached)");
+    });
+    return *entry;
 }
 
 Network

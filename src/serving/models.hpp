@@ -17,6 +17,7 @@
 #ifndef NEBULA_SERVING_MODELS_HPP
 #define NEBULA_SERVING_MODELS_HPP
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -97,12 +98,21 @@ struct QuantizedServable
  * serving.loader.artifact_rejects say which. That happens at most once
  * per key, and so do quantization and conversion of the prototype
  * (lazily, on first use); everything handed out is a private clone of
- * a cached network.
+ * a cached network. Builds of different keys run concurrently, and a
+ * hit never waits for another key's build.
  */
 class ServableLoader
 {
   public:
-    ServableLoader();
+    /**
+     * Where a cache miss takes its float prototype from (reporting the
+     * artifact's verdict in the status): by default
+     * servablePrototype(spec, findArtifact(trainingKey(spec)), status).
+     */
+    using PrototypeSource =
+        std::function<Network(const ServableModelSpec &, ArtifactStatus &)>;
+
+    explicit ServableLoader(PrototypeSource source = {});
     ~ServableLoader();
 
     static ServableLoader &global();
@@ -146,8 +156,15 @@ class ServableLoader
 
   private:
     struct Cached;
+
+    /**
+     * @p spec's entry, built on first use. The lock covers only the
+     * lookup; the build (which may train) runs outside it, once per key,
+     * so it holds up only the callers of its own key.
+     */
     Cached &cached(const ServableModelSpec &spec);
 
+    PrototypeSource source_;
     std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Cached>> cache_;
     obs::Counter &artifactLoads_;

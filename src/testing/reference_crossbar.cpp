@@ -172,7 +172,7 @@ CaseConfig::describe() const
         << " mode=" << (snnMode ? "snn" : "ann")
         << " faults=" << (withFaults ? 1 : 0)
         << " wv=" << (writeVerify ? 1 : 0) << " repair=" << (repair ? 1 : 0)
-        << " abft=" << (abft ? 1 : 0)
+        << " abft=" << (abft ? 1 : 0) << " open=" << openCols
         << " sigma=" << variationSigma << " sparsity=" << sparsity;
     return oss.str();
 }
@@ -227,6 +227,17 @@ buildCase(const CaseConfig &config)
             rng.uniform(0.0, 0.04), rng.uniform(0.0, 0.04)));
         FaultMap map(config.rows, config.cols + config.spareCols);
         model.sampleInto(map, config.seed ^ 0xfa17ull);
+        built.xbar->injectFaults(std::move(map));
+    }
+    if (config.openCols > 0) {
+        // On top of any sampled faults, from a stream of its own so no
+        // other draw of the case moves.
+        FaultMap map = built.xbar->faults();
+        if (map.empty())
+            map = FaultMap(config.rows, config.cols + config.spareCols);
+        Rng open_rng(config.seed ^ 0x09e7c01ull);
+        for (int n = 0; n < config.openCols; ++n)
+            map.setColOpen(open_rng.uniformInt(0, map.cols() - 1));
         built.xbar->injectFaults(std::move(map));
     }
 
@@ -331,6 +342,11 @@ shrinkCase(const CaseConfig &failing, const CasePredicate &still_fails,
         if (cur.abft) {
             CaseConfig c = cur;
             c.abft = false;
+            changed |= try_apply(c);
+        }
+        if (cur.openCols > 0) {
+            CaseConfig c = cur;
+            c.openCols = 0;
             changed |= try_apply(c);
         }
         if (cur.spareCols > 0 && !cur.repair) {

@@ -68,6 +68,7 @@ struct CaseConfig
     bool writeVerify = false;
     bool repair = false;
     bool abft = false;        //!< program the ABFT checksum column
+    int openCols = 0;         //!< physical data columns forced open
     double variationSigma = 0.0;
     double sparsity = 0.0;    //!< fraction of zero input rows
 

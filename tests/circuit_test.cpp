@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "circuit/adc.hpp"
@@ -19,6 +20,7 @@
 #include "common/rng.hpp"
 #include "common/rounding.hpp"
 #include "common/units.hpp"
+#include "device/neuron_device.hpp"
 
 namespace nebula {
 namespace {
@@ -420,6 +422,89 @@ TEST(NeuronUnitCircuit, ReluSaturates)
         xbar.evaluateIdeal(std::vector<double>(rows, 1.0), 110 * ns);
     for (int level : nu.evaluate(eval.currents))
         EXPECT_EQ(level, 15);
+}
+
+TEST(NeuronUnitCircuit, ThresholdReadoutMatchesDeviceChain)
+{
+    // The unit's threshold count against the naive chain it replaces:
+    // the periphery drive of the ReLU'd current, then one
+    // ReluNeuronDevice evaluation. Swept over the chip's own current
+    // scale (an ANN crossbar, 0.75 V read) and others, several
+    // ceilings and output resolutions. The currents: +-0, negatives,
+    // +-inf, the extreme finite
+    // and subnormal values, every threshold with its nextafter
+    // neighbours, a uniform sweep to past saturation and log-uniform
+    // draws over twelve decades.
+    CrossbarParams xp;
+    xp.readVoltage = 0.75;
+    const double chip_scale = CrossbarArray(xp).currentScale();
+    const double inf = std::numeric_limits<double>::infinity();
+    struct Calibration
+    {
+        double scale, ceiling;
+        int levels;
+    };
+    const std::vector<Calibration> calibrations = {
+        {chip_scale, 0.37, 16}, {chip_scale, 1.0, 16},
+        {chip_scale, 2.5, 16},  {chip_scale, 8.0, 16},
+        {chip_scale, 23.0, 16}, {0.25 / 0.75 * chip_scale, 3.0, 16},
+        {1e-6, 1.0, 16},        {3e-4, 0.9, 4},
+        {chip_scale, 4.0, 3},   {chip_scale, 4.0, 2}};
+    Rng rng(0x7e5401dull);
+    long long compared = 0;
+    for (const Calibration &cal : calibrations) {
+        NeuronUnitParams np;
+        np.count = 1;
+        np.levels = cal.levels;
+        ReluNeuronUnit nu(np);
+        nu.calibrate(cal.scale, cal.ceiling);
+        ReluNeuronDevice device(np.device);
+        const auto want = [&](double c) {
+            return device.evaluate(
+                detail::nuDeviceCurrent(std::max(c, 0.0), nu.gain(),
+                                        nu.bias()),
+                np.window, np.levels);
+        };
+
+        std::vector<double> currents = {
+            0.0, -0.0, -1e-3, -inf, inf,
+            std::numeric_limits<double>::denorm_min(),
+            -std::numeric_limits<double>::denorm_min(),
+            std::numeric_limits<double>::min(),
+            std::numeric_limits<double>::max(),
+            -std::numeric_limits<double>::max()};
+        for (int k = 1; k < cal.levels; ++k) {
+            const double t = nu.threshold(k);
+            currents.push_back(t);
+            currents.push_back(std::nextafter(t, -inf));
+            currents.push_back(std::nextafter(t, inf));
+        }
+        const double full = cal.scale * cal.ceiling;
+        for (int i = 0; i <= 20000; ++i)
+            currents.push_back(1.2 * full * i / 20000);
+        for (int i = 0; i < 20000; ++i)
+            currents.push_back(full * std::pow(10.0, rng.uniform(-9, 3)));
+
+        // Once in one call (eight-wide blocks and a tail) and once per
+        // current (the tail alone).
+        std::vector<int> got(currents.size());
+        nu.evaluateInto(currents.data(), static_cast<int>(currents.size()),
+                        got.data());
+        bool saturated = false;
+        for (size_t i = 0; i < currents.size(); ++i) {
+            const int level = want(currents[i]);
+            int alone = -1;
+            nu.evaluateInto(&currents[i], 1, &alone);
+            saturated |= level == cal.levels - 1;
+            ASSERT_EQ(got[i], level)
+                << "current " << currents[i] << " scale " << cal.scale
+                << " ceiling " << cal.ceiling << " levels " << cal.levels;
+            ASSERT_EQ(alone, level) << "current " << currents[i] << " alone";
+        }
+        EXPECT_TRUE(saturated) << "sweep never reached the top level";
+        compared += static_cast<long long>(currents.size());
+    }
+    EXPECT_GT(compared, 400000);
 }
 
 TEST(NeuronUnitCircuit, EnergyGrowsWithActivity)

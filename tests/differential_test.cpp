@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential tests pinning the crossbar fast evaluation paths (cached
- * ideal, sparse spike-driven, row-batched, parasitic-with-workspace) to the
+ * ideal, sparse spike-driven, indexed conv, parasitic-with-workspace) to the
  * naive reference model in src/testing. Each path sweeps hundreds of
  * seeded random cases over geometry, spare columns, fault maps,
  * mitigations and input sparsity; a mismatch is shrunk to a minimal
@@ -123,99 +123,134 @@ TEST(Differential, SparseMatchesReferenceBitExact)
 }
 
 /**
- * Compare a row-batched evaluation against per-window solo
- * evaluateIdeal: currents and ABFT checks bit-exact per window, total
- * energy equal to the window-order sum of the solo energies.
+ * Compare the indexed conv read against per-window solo evaluateIdeal
+ * of the gathered windows: currents and ABFT checks bit-exact per
+ * window, energy equal to the window-order sum of the solo energies,
+ * and nothing written past the batch.
  *
- * Without @p mixed_dark each window entry is dark (+0.0) with the
- * case's sparsity. With it each row is dark in every window, in none,
- * or in a random subset -- so a register-blocked window group sees rows
- * only some of its windows drive -- and a dark entry is +0.0 or -0.0.
+ * The case's rows become one conv window of channels x k x k, with k
+ * the largest of 5, 3 and 2 whose square divides the rows (1 when none
+ * does, or on a coin flip), over a random input with stride 1 or 2 and
+ * padding 0..k-1; the batch is a run of consecutive windows of its
+ * im2col table, from anywhere in the output plane. An input element is
+ * dark (+0.0 or -0.0) at the case's sparsity and otherwise drawn from
+ * [-0.1, 1.1], so the drive clamp acts on both ends.
  */
 std::string
-compareBatchToSolo(const CaseConfig &config, int min_batch, int max_batch,
-                   bool mixed_dark = false)
+compareIndexedToSolo(const CaseConfig &config, int min_batch, int max_batch)
 {
     BuiltCase built = buildCase(config);
-    Rng rng(config.seed ^ 0xb47c41ull);
-    const int rows = built.xbar->rows();
-    const int cols = built.xbar->cols();
-    const int batch = rng.uniformInt(min_batch, max_batch);
-    std::vector<double> windows(static_cast<size_t>(batch) * rows);
-    if (!mixed_dark) {
-        for (auto &v : windows)
-            v = rng.bernoulli(config.sparsity) ? 0.0
-                                               : rng.uniform(0.0, 1.0);
-    } else {
-        auto dark = [&] { return rng.bernoulli(0.5) ? 0.0 : -0.0; };
-        for (int i = 0; i < rows; ++i) {
-            const double all_dark = config.sparsity;
-            const double pick = rng.uniform(0.0, 1.0);
-            for (int b = 0; b < batch; ++b) {
-                const bool is_dark = pick < all_dark ||
-                                     (pick < (1.0 + all_dark) / 2.0 &&
-                                      rng.bernoulli(0.5));
-                windows[static_cast<size_t>(b) * rows + i] =
-                    is_dark ? dark() : rng.uniform(0.0, 1.0);
-            }
+    const CrossbarArray &xbar = *built.xbar;
+    Rng rng(config.seed ^ 0x1d3c0ull);
+    const int rows = xbar.rows();
+    const int cols = xbar.cols();
+    int k = 1;
+    for (int side : {5, 3, 2}) {
+        if (rows % (side * side) == 0 && rng.bernoulli(0.8)) {
+            k = side;
+            break;
         }
     }
+    const int channels = rows / (k * k);
+    const int stride = rng.uniformInt(1, 2);
+    const int pad = rng.uniformInt(0, k - 1);
+    const int in_h = rng.uniformInt(k, k + 5);
+    const int in_w = rng.uniformInt(k, k + 9);
+    const int out_h = (in_h + 2 * pad - k) / stride + 1;
+    const int out_w = (in_w + 2 * pad - k) / stride + 1;
 
-    const CrossbarBatchEval got =
-        built.xbar->evaluateIdealBatch(windows, batch, kCycle);
-    if (got.currents.size() != static_cast<size_t>(batch) * cols)
-        return "batched currents size mismatch";
-    if (got.checks.size() != (config.abft ? static_cast<size_t>(batch) : 0))
-        return "per-window ABFT checks size mismatch";
+    std::vector<int> table;
+    for (int oh = 0; oh < out_h; ++oh)
+        for (int ow = 0; ow < out_w; ++ow)
+            for (int c = 0; c < channels; ++c)
+                for (int kh = 0; kh < k; ++kh)
+                    for (int kw = 0; kw < k; ++kw) {
+                        const int ih = oh * stride - pad + kh;
+                        const int iw = ow * stride - pad + kw;
+                        table.push_back(
+                            ih < 0 || ih >= in_h || iw < 0 || iw >= in_w
+                                ? -1
+                                : (c * in_h + ih) * in_w + iw);
+                    }
+    const int windows = out_h * out_w;
+    const int batch =
+        std::min(windows, rng.uniformInt(min_batch, max_batch));
+    const int first = rng.uniformInt(0, windows - batch);
+
+    std::vector<double> x(static_cast<size_t>(channels) * in_h * in_w);
+    for (double &v : x)
+        v = rng.bernoulli(config.sparsity)
+                ? (rng.bernoulli(0.5) ? 0.0 : -0.0)
+                : rng.uniform(-0.1, 1.1);
+    std::vector<double> drive(x.size() + 1, 0.0); // dark entry first
+    for (size_t e = 0; e < x.size(); ++e)
+        drive[e + 1] = xbar.drive(x[e]);
+
+    // Sentinels past the batch, and verdicts that must be overwritten.
+    constexpr double kSentinel = 12345.0;
+    std::vector<double> currents(static_cast<size_t>(batch + 4) * cols,
+                                 kSentinel);
+    std::vector<CrossbarCheck> checks(static_cast<size_t>(batch),
+                                      CrossbarCheck{7, 7, -1.0, -1.0});
+    const int *index = table.data() + static_cast<size_t>(first) * rows;
+    const double energy = xbar.evaluateIndexed(
+        drive.data() + 1, index, batch, kCycle, currents.data(),
+        checks.data());
+    for (size_t e = static_cast<size_t>(batch) * cols; e < currents.size();
+         ++e)
+        if (currents[e] != kSentinel)
+            return "indexed read wrote past its batch";
 
     std::vector<double> window(static_cast<size_t>(rows));
     double energy_sum = 0.0;
     for (int b = 0; b < batch; ++b) {
-        std::copy_n(windows.begin() + static_cast<size_t>(b) * rows, rows,
-                    window.begin());
-        const CrossbarEval solo = built.xbar->evaluateIdeal(window, kCycle);
+        for (int i = 0; i < rows; ++i) {
+            const int idx = index[static_cast<size_t>(b) * rows + i];
+            window[static_cast<size_t>(i)] =
+                idx < 0 ? 0.0 : x[static_cast<size_t>(idx)];
+        }
+        const CrossbarEval solo = xbar.evaluateIdeal(window, kCycle);
         std::ostringstream out;
         out.precision(17);
+        out << "k=" << k << " stride=" << stride << " pad=" << pad
+            << " batch=" << batch << " window " << b << ": ";
         for (int c = 0; c < cols; ++c) {
-            const double batched =
-                got.currents[static_cast<size_t>(b) * cols + c];
-            if (batched != solo.currents[static_cast<size_t>(c)]) {
-                out << "window " << b << " col " << c << ": batched "
-                    << batched << " != solo "
+            const double got = currents[static_cast<size_t>(b) * cols + c];
+            if (got != solo.currents[static_cast<size_t>(c)]) {
+                out << "col " << c << ": indexed " << got << " != solo "
                     << solo.currents[static_cast<size_t>(c)];
                 return out.str();
             }
         }
-        if (config.abft) {
-            const std::string detail =
-                compareCheck(got.checks[static_cast<size_t>(b)], solo.check);
-            if (!detail.empty())
-                return "window " + std::to_string(b) + " batched vs solo " +
-                       detail;
-        }
+        const std::string detail =
+            compareCheck(checks[static_cast<size_t>(b)], solo.check);
+        if (!detail.empty())
+            return out.str() + "indexed vs solo " + detail;
         energy_sum += solo.energy;
     }
-    if (got.energy != energy_sum)
-        return "batch energy is not the window-order sum of solo energies";
+    if (energy != energy_sum)
+        return "indexed energy is not the window-order sum of solo energies";
     return std::string();
 }
 
 TEST(Differential, BatchMatchesSingleEvalBitExact)
 {
-    // Half the cases program the ABFT checksum column, so the per-window
-    // verdicts the solo ANN conv path bills are pinned too.
+    // The ANN conv read (evaluateIndexed) against the solo read of each
+    // gathered window. Half the cases program the ABFT checksum column,
+    // so the per-window verdicts the conv path bills are pinned too.
     // randomCase sweeps geometry, spare columns, fault maps, mitigations
-    // and input sparsity; batch-of-2 is the smallest batch and 8 crosses
-    // the kernel's 4-window register-blocking boundary.
+    // and input sparsity; batches of 1 to 13 windows cover every
+    // remainder of the kernel's 4-window register blocking.
     runCases(
         500, 7000,
         [](uint64_t seed) { return withAbft(randomCase(seed)); },
         [](const CaseConfig &config) {
-            return compareBatchToSolo(config, 2, 8);
+            return compareIndexedToSolo(config, 1, 13);
         });
     // Force the reliability machinery on every case: stuck cells,
-    // write-verify and spare-column remapping must be invisible to the
-    // batched kernel (it reads the same remapped conductance view).
+    // write-verify, an open column or two and spare-column remapping
+    // must be invisible to the indexed kernel (it reads the same
+    // remapped conductance view and zeroes the same open columns).
     runCases(
         150, 7600,
         [](uint64_t seed) {
@@ -223,26 +258,29 @@ TEST(Differential, BatchMatchesSingleEvalBitExact)
             config.withFaults = true;
             config.writeVerify = true;
             config.repair = true;
+            config.openCols = Rng(seed ^ 0x0be2ull).uniformInt(1, 2);
             if (config.spareCols == 0)
                 config.spareCols = 1;
             return config;
         },
         [](const CaseConfig &config) {
-            return compareBatchToSolo(config, 2, 6);
+            return compareIndexedToSolo(config, 1, 11);
         });
-    // Production batch sizes: a conv row passes one window per output
-    // column (16 for conv1 at 16 px), so full four-window groups plus a
-    // remainder go through one call, on narrow column groups (conv1 has
-    // 6 kernels), with -0.0 drives and rows dark in only some windows.
+    // Production shapes: LeNet-5 conv1 windows (1 or 2 channels of 5x5,
+    // 16 per output row at 16 px) or 3x3 windows, on narrow column
+    // groups (conv1 has 6 kernels), full four-window groups plus a
+    // remainder through one call.
     runCases(
         240, 9000,
         [](uint64_t seed) {
             CaseConfig config = withAbft(randomCase(seed));
-            config.cols = Rng(seed ^ 0xc015ull).uniformInt(1, 7);
+            Rng rng(seed ^ 0xc015ull);
+            config.cols = rng.uniformInt(1, 7);
+            config.rows = rng.uniformInt(1, 2) * (rng.bernoulli(0.5) ? 25 : 9);
             return config;
         },
         [](const CaseConfig &config) {
-            return compareBatchToSolo(config, 9, 32, true);
+            return compareIndexedToSolo(config, 9, 32);
         });
 }
 

@@ -31,6 +31,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <map>
@@ -637,6 +638,48 @@ TEST(ServableLoader, OneTrainingFieldOffTrains)
     EXPECT_EQ(served.save(), trained.save());
     EXPECT_NE(served.save(), loader.trainedNetwork(shippedMlp3()).save());
     EXPECT_TRUE(bitEqual(loader.calibration(spec), trainingSetPrefix(spec)));
+}
+
+TEST(ServableLoader, HitReturnsWhileAnotherSpecBuilds)
+{
+    // The build of `slow` parks inside the loader until the main
+    // thread's hit on the already cached default mlp3 has returned. A
+    // loader that builds under its lookup lock never lets that hit
+    // through, so the park runs into its deadlock guard and the test
+    // fails; the guard is no timing margin a correct loader relies on.
+    ServableModelSpec slow = shippedMlp3();
+    slow.seed = 404;
+    slow.epochs = 0; // seeded weights: no artifact, a quick build
+    std::promise<void> entered;
+    std::promise<void> hit_done;
+    std::shared_future<void> released = hit_done.get_future().share();
+    std::atomic<bool> released_before_guard{false};
+    ServableLoader loader(
+        [&](const ServableModelSpec &spec, ArtifactStatus &status) {
+            if (spec.seed == slow.seed) {
+                entered.set_value();
+                released_before_guard =
+                    released.wait_for(std::chrono::seconds(30)) ==
+                    std::future_status::ready;
+            }
+            return servablePrototype(spec, findArtifact(trainingKey(spec)),
+                                     status);
+        });
+
+    const ServableModelSpec hit_spec = shippedMlp3();
+    const Tensor first = loader.calibration(hit_spec); // now cached
+    std::future<void> building = entered.get_future();
+    auto builder = std::async(std::launch::async,
+                              [&] { return loader.trainedNetwork(slow); });
+    building.wait();
+    const Tensor hit = loader.calibration(hit_spec);
+    hit_done.set_value();
+    Network built = builder.get();
+
+    EXPECT_TRUE(released_before_guard)
+        << "a cache hit waited for another spec's build";
+    EXPECT_TRUE(bitEqual(hit, first));
+    EXPECT_EQ(built.save(), trainServable(slow).save());
 }
 
 TEST(ServableLoader, RefusedArtifactsAreTypedAndTrain)
