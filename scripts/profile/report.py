@@ -2,15 +2,19 @@
 """Summarize a prof.<pid>.txt written by sampler.c, symbolized by nm -C -S.
 
     python3 scripts/profile/report.py prof.1234.txt [--top 30] [--depth 3]
+    python3 scripts/profile/report.py prof.1234.txt --match '^(send|recv)@'
 
 Self and inclusive sample shares per function, then per caller chain of
 --depth frames (self: the innermost ones; inclusive: any run on the stack).
+--match REGEX prints instead the summed self share of the functions whose
+names match (re.search), one line per function and a total.
 """
 
 import argparse
 import bisect
 import collections
 import functools
+import re
 import struct
 import subprocess
 
@@ -93,6 +97,8 @@ def main():
     parser.add_argument("profile")
     parser.add_argument("--top", type=int, default=30)
     parser.add_argument("--depth", type=int, default=3)
+    parser.add_argument("--match", metavar="REGEX",
+                        help="summed self share of the matching functions")
     opts = parser.parse_args()
     samples, maps = parse(opts.profile)
     if not samples:
@@ -108,6 +114,16 @@ def main():
         for counter, keys in zip(counts, ([names[0]], set(names),
                                           [chains[0]], set(chains))):
             counter.update(keys)
+    if opts.match is not None:
+        pattern = re.compile(opts.match)
+        hits = sorted((key for key in counts[0] if pattern.search(key)),
+                      key=lambda k: (-counts[0][k], k))
+        for key in hits:
+            print("%6.2f  %s" % (100.0 * counts[0][key] / total, key))
+        print("%6.2f  self share of /%s/ (%d functions, %d samples)" % (
+            100.0 * sum(counts[0][k] for k in hits) / total, opts.match,
+            len(hits), total))
+        return
     for title, own, incl in (("functions", *counts[:2]),
                              ("caller chains, callee < caller", *counts[2:])):
         print("\n== %s: self%%, inclusive%% of %d samples" % (title, total))

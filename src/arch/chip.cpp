@@ -50,22 +50,22 @@ publishMappingMetrics(const char *mode, const NebulaConfig &config,
                  mapping.totalAcs(), " crossbars");
 }
 
-/** Give @p t the shape @p dims, allocating only if it has another. */
-void
-ensureShape(Tensor &t, std::initializer_list<int> dims)
+/**
+ * @p image with a leading batch dimension of 1, copied into @p batched,
+ * which allocates only when the image shape changes.
+ */
+const Tensor &
+withBatchDim(const Tensor &image, Tensor &batched)
 {
-    if (!std::ranges::equal(t.shape(), dims))
-        t = Tensor(std::vector<int>(dims));
-}
-
-/** @p image with a leading batch dimension of 1. */
-Tensor
-withBatchDim(const Tensor &image)
-{
-    std::vector<int> shape{1};
-    for (int d = 0; d < image.rank(); ++d)
-        shape.push_back(image.dim(d));
-    return image.reshaped(shape);
+    const std::vector<int> &dims = image.shape();
+    if (batched.rank() != image.rank() + 1 ||
+        !std::equal(dims.begin(), dims.end(), batched.shape().begin() + 1)) {
+        std::vector<int> shape{1};
+        shape.insert(shape.end(), dims.begin(), dims.end());
+        batched = Tensor(std::move(shape));
+    }
+    std::copy_n(image.data(), image.size(), batched.data());
+    return batched;
 }
 
 /**
@@ -475,7 +475,7 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
                                           .inFeatures(),
                       "linear input mismatch on chip");
         window.assign(in, in + input.size());
-        ensureShape(output, {1, kernels});
+        output.ensureShape({1, kernels});
         for (size_t g = 0; g < groups; ++g)
             readGroup(layer, g, &window, output.data(), 1);
     } else {
@@ -492,7 +492,7 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
         const int out_h = (in_h + 2 * pad - k) / stride + 1;
         const int out_w = (in_w + 2 * pad - k) / stride + 1;
         const size_t plane = static_cast<size_t>(out_h) * out_w;
-        ensureShape(output, {1, kernels, out_h, out_w});
+        output.ensureShape({1, kernels, out_h, out_w});
         float *out_p = output.data();
 
         // im2col tables: the input offset of every window element,
@@ -581,7 +581,7 @@ NebulaChip::runAnn(const Tensor &image)
 {
     NEBULA_ASSERT(prog_.mode == Mode::ANN, "no ANN programmed");
     const ChipStats before = stats_;
-    Tensor logits = runStages(withBatchDim(image));
+    Tensor logits = runStages(withBatchDim(image, prog_.input));
     publishRun(before, Mode::ANN);
     return logits;
 }
@@ -685,7 +685,7 @@ NebulaChip::runStages(const Tensor &input)
                     stage.neuron->step(x->data(), stage.out.data(),
                                        x->size());
             } else {
-                stage.out = stage.layer->forward(*x, false);
+                stage.layer->forwardInto(*x, stage.out);
             }
             if (stage.feedsSparse) {
                 prog_.active.clear();
@@ -726,7 +726,7 @@ NebulaChip::runSnn(const Tensor &image, int timesteps,
     model.resetState();
 
     PoissonEncoder encoder(1.0, encoder_seed);
-    const Tensor input = withBatchDim(image);
+    const Tensor &input = withBatchDim(image, prog_.input);
     if (prog_.sparseInput)
         encoder.buildPlan(input, prog_.encPlan);
 

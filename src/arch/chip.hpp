@@ -279,6 +279,7 @@ class NebulaChip
         std::optional<Mode> mode;  //!< empty until programmed
         std::vector<Stage> stages;
         bool sparseInput = false;  //!< first stage reads encoder rows
+        Tensor input;              //!< the image with its batch dim
         Tensor spikeBuf;           //!< encoder output (dense input)
         SpikeVector active;        //!< active-row list between stages
         /** One layer's input factors (indexed read: drives), dark first. */

@@ -91,10 +91,19 @@ Flatten::forward(const Tensor &input, bool train)
 {
     if (train)
         inputShape_ = input.shape();
+    Tensor output;
+    forwardInto(input, output);
+    return output;
+}
+
+void
+Flatten::forwardInto(const Tensor &input, Tensor &output)
+{
     long long features = 1;
     for (int i = 1; i < input.rank(); ++i)
         features *= input.dim(i);
-    return input.reshaped({input.dim(0), static_cast<int>(features)});
+    output.ensureShape({input.dim(0), static_cast<int>(features)});
+    std::copy_n(input.data(), input.size(), output.data());
 }
 
 Tensor

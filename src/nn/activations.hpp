@@ -62,6 +62,7 @@ class Flatten : public Layer
 {
   public:
     Tensor forward(const Tensor &input, bool train = false) override;
+    void forwardInto(const Tensor &input, Tensor &output) override;
     Tensor backward(const Tensor &grad_output) override;
     LayerKind kind() const override { return LayerKind::Flatten; }
     LayerPtr clone() const override { return std::make_unique<Flatten>(*this); }

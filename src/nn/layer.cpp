@@ -22,6 +22,12 @@ layerKindName(LayerKind kind)
     return "unknown";
 }
 
+void
+Layer::forwardInto(const Tensor &input, Tensor &output)
+{
+    output = forward(input, false);
+}
+
 Tensor
 Layer::backward(const Tensor &)
 {

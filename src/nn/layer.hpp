@@ -52,6 +52,13 @@ class Layer
     virtual Tensor forward(const Tensor &input, bool train = false) = 0;
 
     /**
+     * Inference forward pass into @p output, whose buffer is reused when
+     * it already has the output shape (the chip's Host stages run every
+     * image through one). Same values as forward(input, false).
+     */
+    virtual void forwardInto(const Tensor &input, Tensor &output);
+
+    /**
      * Backward pass: takes dL/d(output), returns dL/d(input) and
      * accumulates parameter gradients. Only valid after a forward call
      * with train == true.

@@ -24,6 +24,16 @@ AvgPool2d::name() const
 Tensor
 AvgPool2d::forward(const Tensor &input, bool train)
 {
+    if (train)
+        inputShape_ = input.shape();
+    Tensor output;
+    forwardInto(input, output);
+    return output;
+}
+
+void
+AvgPool2d::forwardInto(const Tensor &input, Tensor &output)
+{
     NEBULA_ASSERT(input.rank() == 4, "pooling expects NCHW");
     const int batch = input.dim(0), channels = input.dim(1);
     const int in_h = input.dim(2), in_w = input.dim(3);
@@ -31,10 +41,7 @@ AvgPool2d::forward(const Tensor &input, bool train)
     const int out_w = (in_w - kernel_) / stride_ + 1;
     NEBULA_ASSERT(out_h > 0 && out_w > 0, "pooling output collapsed");
 
-    if (train)
-        inputShape_ = input.shape();
-
-    Tensor output({batch, channels, out_h, out_w});
+    output.ensureShape({batch, channels, out_h, out_w});
     const float inv = 1.0f / (kernel_ * kernel_);
     const size_t in_plane = static_cast<size_t>(in_h) * in_w;
     float *out = output.data();
@@ -55,7 +62,6 @@ AvgPool2d::forward(const Tensor &input, bool train)
             }
         }
     }
-    return output;
 }
 
 Tensor

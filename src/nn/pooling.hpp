@@ -20,6 +20,7 @@ class AvgPool2d : public Layer
     explicit AvgPool2d(int kernel, int stride = 0);
 
     Tensor forward(const Tensor &input, bool train = false) override;
+    void forwardInto(const Tensor &input, Tensor &output) override;
     Tensor backward(const Tensor &grad_output) override;
 
     LayerKind kind() const override { return LayerKind::AvgPool; }

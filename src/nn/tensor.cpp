@@ -102,6 +102,14 @@ Tensor::reshape(std::vector<int> shape)
     return *this;
 }
 
+Tensor &
+Tensor::ensureShape(std::initializer_list<int> dims)
+{
+    if (!std::ranges::equal(shape_, dims))
+        *this = Tensor(std::vector<int>(dims));
+    return *this;
+}
+
 Tensor
 Tensor::reshaped(std::vector<int> shape) const
 {

@@ -8,6 +8,7 @@
 #ifndef NEBULA_NN_TENSOR_HPP
 #define NEBULA_NN_TENSOR_HPP
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,12 @@ class Tensor
 
     /** Reshape in place (element count must be preserved). */
     Tensor &reshape(std::vector<int> shape);
+
+    /**
+     * Take shape @p dims, reallocating (zero-filled) only when it is not
+     * the current shape: a reused output buffer keeps its storage.
+     */
+    Tensor &ensureShape(std::initializer_list<int> dims);
 
     /** Return a reshaped copy. */
     Tensor reshaped(std::vector<int> shape) const;

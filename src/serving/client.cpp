@@ -104,11 +104,12 @@ ServingClient::inferAsync(const std::string &tenant,
             pendingTrace_.emplace(request.corrId, request.traceId);
     }
 
-    const std::vector<uint8_t> frame = encodeRequestFrame(request);
     bool sent;
     {
         std::lock_guard<std::mutex> lock(sendMutex_);
-        sent = writeFully(fd_, frame.data(), frame.size());
+        sendBuf_.clear();
+        appendRequestFrame(sendBuf_, request);
+        sent = writeFully(fd_, sendBuf_.data(), sendBuf_.size());
     }
     if (!sent) {
         std::lock_guard<std::mutex> lock(pendingMutex_);
@@ -142,36 +143,23 @@ ServingClient::infer(const std::string &tenant, const std::string &model,
 void
 ServingClient::readerLoop()
 {
+    StreamBuffer in;
+    Frame frame;
     while (open_.load()) {
-        uint8_t raw_header[kHeaderBytes];
-        if (!readFully(fd_, raw_header, sizeof(raw_header)))
-            break;
-        FrameHeader header;
-        if (decodeHeader(raw_header, sizeof(raw_header),
-                         /*max_body=*/1 << 26, header) != WireStatus::Ok ||
-            header.type != FrameType::Response)
-            break;
         // Unflagged responses arrive as v1 frames; a v3 response
         // carries the ABFT integrity flags in its header extension
         // (and a v2 one a trace context, tolerated for forward
         // compatibility).
-        const size_t extra = headerExtraBytes(header.version);
-        if (extra > 0) {
-            uint8_t raw_extra[kMaxHeaderExtraBytes];
-            if (!readFully(fd_, raw_extra, extra) ||
-                decodeHeaderExtra(raw_extra, extra, header) !=
-                    WireStatus::Ok)
-                break;
-        }
-        std::vector<uint8_t> body(header.bodyLen);
-        if (header.bodyLen > 0 &&
-            !readFully(fd_, body.data(), body.size()))
+        if (readFrame(fd_, in, /*max_body=*/1 << 26, FrameType::Response,
+                      frame) != WireStatus::Ok)
             break;
         WireResponse response;
-        if (decodeResponseBody(body.data(), body.size(), response) !=
-            WireStatus::Ok)
+        const WireStatus status =
+            decodeResponseBody(frame.body, frame.header.bodyLen, response);
+        in.consume(frame.bytes);
+        if (status != WireStatus::Ok)
             break;
-        response.integrity = header.integrity;
+        response.integrity = frame.header.integrity;
 
         std::promise<WireResponse> promise;
         bool matched = false;

@@ -23,6 +23,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "serving/protocol.hpp"
 
@@ -95,6 +96,7 @@ class ServingClient
     std::thread reader_;
 
     std::mutex sendMutex_;
+    std::vector<uint8_t> sendBuf_; //!< one request frame; under sendMutex_
     std::mutex pendingMutex_;
     std::map<uint64_t, std::promise<WireResponse>> pending_;
     /** corr id -> trace id of in-flight traced requests (flow end). */

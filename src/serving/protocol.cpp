@@ -290,39 +290,79 @@ decodeHeaderExtra(const uint8_t *raw, size_t size, FrameHeader &out)
     return WireStatus::Ok;
 }
 
-std::vector<uint8_t>
-encodeFrame(FrameType type, const std::vector<uint8_t> &body,
-            uint64_t trace_id, uint8_t integrity)
+namespace {
+
+/** Grow @p out geometrically so that @p n more bytes fit. */
+void
+reserveMore(std::vector<uint8_t> &out, size_t n)
 {
-    // Lowest version whose extension fields are all zero: unflagged
-    // untraced frames stay byte-identical to the v1 wire format.
+    if (out.capacity() - out.size() < n)
+        out.reserve(std::max(out.size() + n, 2 * out.capacity()));
+}
+
+/**
+ * Append a frame header with a zero body length and return where it
+ * starts; the caller appends the body and closeFrame() patches the
+ * length. The version is the lowest one whose extension fields are all
+ * zero: unflagged untraced frames stay byte-identical to the v1 wire
+ * format.
+ */
+size_t
+openFrame(std::vector<uint8_t> &out, FrameType type, uint64_t trace_id,
+          uint8_t integrity)
+{
     const uint8_t version = integrity ? kWireVersionIntegrity
                             : trace_id ? kWireVersionTrace
                                        : kWireVersion;
-    std::vector<uint8_t> frame;
-    frame.reserve(kHeaderBytes + headerExtraBytes(version) + body.size());
-    ByteWriter w(frame);
+    const size_t at = out.size();
+    ByteWriter w(out);
     w.u32(kWireMagic);
     w.u8(version);
     w.u8(static_cast<uint8_t>(type));
     w.u16(0);
-    w.u32(static_cast<uint32_t>(body.size()));
+    w.u32(0); // body length, patched by closeFrame
     if (version >= kWireVersionTrace)
         w.u64(trace_id);
     if (version >= kWireVersionIntegrity)
         w.u8(integrity);
-    w.bytes(body.data(), body.size());
+    return at;
+}
+
+/** Patch the body length of the frame openFrame() started at @p at. */
+void
+closeFrame(std::vector<uint8_t> &out, size_t at)
+{
+    const size_t body_at = at + kHeaderBytes + headerExtraBytes(out[at + 4]);
+    const auto len = static_cast<uint32_t>(out.size() - body_at);
+    for (int i = 0; i < 4; ++i)
+        out[at + 8 + static_cast<size_t>(i)] =
+            static_cast<uint8_t>(len >> (8 * i));
+}
+
+} // namespace
+
+std::vector<uint8_t>
+encodeFrame(FrameType type, const std::vector<uint8_t> &body,
+            uint64_t trace_id, uint8_t integrity)
+{
+    std::vector<uint8_t> frame;
+    frame.reserve(kHeaderBytes + kMaxHeaderExtraBytes + body.size());
+    const size_t at = openFrame(frame, type, trace_id, integrity);
+    ByteWriter(frame).bytes(body.data(), body.size());
+    closeFrame(frame, at);
     return frame;
 }
 
-std::vector<uint8_t>
-encodeRequestBody(const WireRequest &request)
+void
+appendRequestFrame(std::vector<uint8_t> &out, const WireRequest &request)
 {
-    std::vector<uint8_t> body;
-    body.reserve(29 + 2 + std::min<size_t>(request.tenant.size(), 255) +
-                 std::min<size_t>(request.model.size(), 255) +
-                 tensorBytes(request.image));
-    ByteWriter w(body);
+    reserveMore(out, kHeaderBytes + kMaxHeaderExtraBytes + 29 + 2 +
+                         std::min<size_t>(request.tenant.size(), 255) +
+                         std::min<size_t>(request.model.size(), 255) +
+                         tensorBytes(request.image));
+    const size_t at =
+        openFrame(out, FrameType::Request, request.traceId, /*integrity=*/0);
+    ByteWriter w(out);
     w.u64(request.corrId);
     w.u8(static_cast<uint8_t>(request.mode));
     w.u32(request.timesteps);
@@ -331,17 +371,19 @@ encodeRequestBody(const WireRequest &request)
     writeShortString(w, request.tenant);
     writeShortString(w, request.model);
     writeTensor(w, request.image);
-    return body;
+    closeFrame(out, at);
 }
 
-std::vector<uint8_t>
-encodeResponseBody(const WireResponse &response)
+void
+appendResponseFrame(std::vector<uint8_t> &out, const WireResponse &response)
 {
     const size_t message_len =
         std::min<size_t>(response.message.size(), 65535);
-    std::vector<uint8_t> body;
-    body.reserve(24 + message_len + tensorBytes(response.logits));
-    ByteWriter w(body);
+    reserveMore(out, kHeaderBytes + kMaxHeaderExtraBytes + 24 + message_len +
+                         tensorBytes(response.logits));
+    const size_t at = openFrame(out, FrameType::Response, /*trace_id=*/0,
+                                response.integrity);
+    ByteWriter w(out);
     w.u64(response.corrId);
     w.u16(static_cast<uint16_t>(response.status));
     w.i32(response.predictedClass);
@@ -349,21 +391,23 @@ encodeResponseBody(const WireResponse &response)
     w.u16(static_cast<uint16_t>(message_len));
     w.bytes(response.message.data(), message_len);
     writeTensor(w, response.logits);
-    return body;
+    closeFrame(out, at);
 }
 
 std::vector<uint8_t>
 encodeRequestFrame(const WireRequest &request)
 {
-    return encodeFrame(FrameType::Request, encodeRequestBody(request),
-                       request.traceId);
+    std::vector<uint8_t> frame;
+    appendRequestFrame(frame, request);
+    return frame;
 }
 
 std::vector<uint8_t>
 encodeResponseFrame(const WireResponse &response)
 {
-    return encodeFrame(FrameType::Response, encodeResponseBody(response),
-                       /*trace_id=*/0, response.integrity);
+    std::vector<uint8_t> frame;
+    appendResponseFrame(frame, response);
+    return frame;
 }
 
 WireStatus

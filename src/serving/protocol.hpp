@@ -253,13 +253,21 @@ std::vector<uint8_t> encodeFrame(FrameType type,
                                  uint64_t trace_id = 0,
                                  uint8_t integrity = 0);
 
-/** Request body -> bytes (frame it with encodeFrame). */
-std::vector<uint8_t> encodeRequestBody(const WireRequest &request);
+/**
+ * Append one whole request frame (v2 when request.traceId is set) to
+ * @p out, e.g. a reused send buffer.
+ */
+void appendRequestFrame(std::vector<uint8_t> &out,
+                        const WireRequest &request);
 
-/** Response body -> bytes. */
-std::vector<uint8_t> encodeResponseBody(const WireResponse &response);
+/**
+ * Append one whole response frame (v3 when response.integrity is set)
+ * to @p out; the server writer batches settled responses this way.
+ */
+void appendResponseFrame(std::vector<uint8_t> &out,
+                         const WireResponse &response);
 
-/** Convenience: full request/response frames. */
+/** A fresh vector holding one frame of the append forms above. */
 std::vector<uint8_t> encodeRequestFrame(const WireRequest &request);
 std::vector<uint8_t> encodeResponseFrame(const WireResponse &response);
 

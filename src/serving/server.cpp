@@ -47,6 +47,13 @@ constexpr int kLatencyHistBuckets = 500;
 constexpr std::array<const char *, 5> kEnergyComponents = {
     "crossbar", "driver", "adc", "neuron", "noc"};
 
+/**
+ * A writer sends its buffered responses at the latest once this many
+ * bytes are waiting, even while later ones are settled, so a client
+ * that pipelines without bound still sees replies flow.
+ */
+constexpr size_t kFlushBytes = 64 << 10;
+
 /** Engine outcomes (Ok .. Cancelled) are the low WireStatus values. */
 constexpr size_t kEngineStatuses =
     static_cast<size_t>(WireStatus::Cancelled) + 1;
@@ -129,6 +136,20 @@ struct ServingServer::Connection
     std::atomic<bool> readerExited{false};
     std::atomic<bool> writerExited{false};
 
+    /**
+     * True when the pipeline head can be answered without blocking: a
+     * ready response or a settled future. Caller holds `mutex`.
+     */
+    bool headSettled() const
+    {
+        if (pipeline.empty())
+            return false;
+        const Pending &head = pipeline.front();
+        return !head.future.valid() ||
+               head.future.wait_for(std::chrono::seconds(0)) ==
+                   std::future_status::ready;
+    }
+
     bool finished() const
     {
         return readerExited.load() && writerExited.load();
@@ -142,6 +163,20 @@ ServingServer::ServingServer(ServerConfig config,
       slo_(config_.slo)
 {
     NEBULA_ASSERT(registry_, "server needs a registry");
+    // Refuse configs that cannot serve: a zero pipeline parks every
+    // connection's first frame in dispatch forever, and no connection,
+    // backlog or body room admits no request.
+    if (config_.pipelineDepth == 0)
+        throw std::invalid_argument(
+            "ServerConfig: pipelineDepth must be >= 1");
+    if (config_.maxConnections < 1)
+        throw std::invalid_argument(
+            "ServerConfig: maxConnections must be >= 1");
+    if (config_.backlog < 1)
+        throw std::invalid_argument("ServerConfig: backlog must be >= 1");
+    if (config_.maxBodyBytes == 0)
+        throw std::invalid_argument(
+            "ServerConfig: maxBodyBytes must be >= 1");
 }
 
 ServingServer::~ServingServer()
@@ -390,23 +425,19 @@ void
 ServingServer::readerLoop(Connection &conn)
 {
     obs::setThreadName("serving.conn" + std::to_string(conn.id) + ".r");
+    StreamBuffer in;
+    Frame frame;
     bool keep_going = true;
     while (keep_going) {
-        uint8_t raw_header[kHeaderBytes];
-        if (!readFully(conn.fd, raw_header, sizeof(raw_header)))
+        const WireStatus header_status = readFrame(
+            conn.fd, in, config_.maxBodyBytes, FrameType::Request, frame);
+        if (header_status == WireStatus::ConnectionLost)
             break; // clean EOF or mid-frame disconnect: just stop
-
-        FrameHeader header;
-        const WireStatus header_status = decodeHeader(
-            raw_header, sizeof(raw_header), config_.maxBodyBytes, header);
-        if (header_status != WireStatus::Ok ||
-            header.type != FrameType::Request) {
+        if (header_status != WireStatus::Ok) {
             // The stream cannot be resynchronized after a bad header:
             // answer with the typed error, then close.
             WireResponse err;
-            err.status = header_status == WireStatus::Ok
-                             ? WireStatus::BadFrame
-                             : header_status;
+            err.status = header_status;
             err.message = "rejected frame header";
             obs::MetricsRegistry::global()
                 .counter("serving.bad_frames")
@@ -415,28 +446,11 @@ ServingServer::readerLoop(Connection &conn)
             break;
         }
 
-        // v2+ frames carry a header extension (trace context; v3 adds
-        // integrity flags) after the fixed header; v1 frames have none
-        // (extra == 0) and skip this read.
-        const size_t extra = headerExtraBytes(header.version);
-        if (extra > 0) {
-            uint8_t raw_extra[kMaxHeaderExtraBytes];
-            if (!readFully(conn.fd, raw_extra, extra))
-                break; // disconnect mid-header
-            if (decodeHeaderExtra(raw_extra, extra, header) !=
-                WireStatus::Ok)
-                break;
-        }
-
-        std::vector<uint8_t> body(header.bodyLen);
-        if (header.bodyLen > 0 &&
-            !readFully(conn.fd, body.data(), body.size()))
-            break; // disconnect mid-body
-
         WireRequest request;
         const WireStatus decode_status =
-            decodeRequestBody(body.data(), body.size(), request);
-        request.traceId = header.traceId;
+            decodeRequestBody(frame.body, frame.header.bodyLen, request);
+        in.consume(frame.bytes);
+        request.traceId = frame.header.traceId;
         if (decode_status != WireStatus::Ok) {
             WireResponse err;
             err.corrId = request.corrId; // best-effort correlation
@@ -470,8 +484,24 @@ ServingServer::writerLoop(Connection &conn)
 {
     obs::setThreadName("serving.conn" + std::to_string(conn.id) + ".w");
     auto &metrics = obs::MetricsRegistry::global();
+    // Encoded responses not sent yet, in pipeline order. They leave in
+    // one send as soon as the pipeline head is not settled, so no
+    // response waits for a later one; also before a close and once
+    // kFlushBytes pile up.
+    std::vector<uint8_t> out;
+    auto flush = [&] {
+        if (!out.empty() && !conn.dead.load() &&
+            !writeFully(conn.fd, out.data(), out.size()))
+            conn.dead.store(true);
+        out.clear();
+    };
     while (true) {
         std::unique_lock<std::mutex> lock(conn.mutex);
+        if (!out.empty() && !conn.headSettled()) {
+            lock.unlock();
+            flush();
+            lock.lock();
+        }
         conn.cv.wait(lock, [&] {
             return !conn.pipeline.empty() || conn.readerDone;
         });
@@ -577,12 +607,10 @@ ServingServer::writerLoop(Connection &conn)
                     .inc();
         }
 
-        if (!conn.dead.load()) {
-            const std::vector<uint8_t> frame =
-                encodeResponseFrame(response);
-            if (!writeFully(conn.fd, frame.data(), frame.size()))
-                conn.dead.store(true);
-        }
+        if (!conn.dead.load())
+            appendResponseFrame(out, response);
+        if (pending.closeAfter || out.size() >= kFlushBytes)
+            flush();
         if (pending.closeAfter) {
             // Unblock the reader (it may be mid-recv on this fd).
             ::shutdown(conn.fd, SHUT_RDWR);

@@ -8,7 +8,10 @@
  * check -> registry acquire -> InferenceEngine::submit) and a writer
  * thread draining a bounded pipeline of pending futures in request
  * order -- so a connection can pipeline many requests while responses
- * stay FIFO. Every outcome a client can observe is typed: engine
+ * stay FIFO. Frames move in bursts (serving/socket_io.hpp): the reader
+ * decodes every whole frame one recv delivered, and the writer sends
+ * the responses it has settled in one send whenever the next pipeline
+ * head is still running. Every outcome a client can observe is typed: engine
  * outcomes map 1:1 onto wire statuses, quota refusals are
  * QuotaExceeded, malformed input is BadFrame / UnsupportedVersion /
  * PayloadTooLarge (answered when the stream still permits, then the
@@ -94,6 +97,11 @@ struct ServerConfig
 class ServingServer
 {
   public:
+    /**
+     * Throws std::invalid_argument for a config that cannot serve:
+     * pipelineDepth or maxBodyBytes of 0, maxConnections or backlog
+     * below 1.
+     */
     ServingServer(ServerConfig config,
                   std::shared_ptr<ModelRegistry> registry);
 

@@ -11,8 +11,10 @@
  * cache (quantize/convert once per process, independent clones, every
  * residency programmed and answering identically, exact learning-rate
  * keys), tenant quota isolation (a greedy tenant cannot consume
- * another tenant's service) and client pipelining. The suite runs
- * under ThreadSanitizer in CI next to runtime_test.
+ * another tenant's service), client pipelining, frames in bursts (many
+ * per write, split anywhere, a settled response sent while the next
+ * request runs) and server config validation. The suite runs under
+ * ThreadSanitizer in CI next to runtime_test.
  *
  * Every servable here uses epochs == 0 (seeded, untrained weights):
  * the serving plumbing under test is training-agnostic and this keeps
@@ -27,14 +29,17 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -51,6 +56,7 @@
 #include "serving/quota.hpp"
 #include "serving/registry.hpp"
 #include "serving/server.hpp"
+#include "serving/socket_io.hpp"
 
 namespace nebula {
 namespace serving {
@@ -1037,6 +1043,367 @@ TEST_F(ServingServerTest, PipelinedRequestsAllResolveInOrder)
                           sizeof(float) *
                               static_cast<size_t>(a.logits.size())),
               0);
+}
+
+// ---------------------------------------------------------------------------
+// Frames in bursts: buffered reads, coalesced writes
+// ---------------------------------------------------------------------------
+
+/** An mlp3 request frame on @p model/@p mode for corr id @p corr_id. */
+WireRequest
+burstRequest(uint64_t corr_id, const std::string &model = "mlp3",
+             WireMode mode = WireMode::Ann)
+{
+    WireRequest request;
+    request.corrId = corr_id;
+    request.mode = mode;
+    request.seed = 1000 + corr_id;
+    request.tenant = "tenant-burst";
+    request.model = model;
+    request.image = testImage(corr_id);
+    return request;
+}
+
+bool
+sendAll(int fd, const std::vector<uint8_t> &bytes)
+{
+    return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+}
+
+TEST_F(ServingServerTest, BurstInOneWriteIsAnsweredInOrder)
+{
+    // Seven request frames in a single write; the middle one names a
+    // model outside the catalog but is well framed, so it is answered
+    // typed and the frames behind it are still served.
+    const int n = 7;
+    std::vector<uint8_t> burst;
+    for (int i = 0; i < n; ++i)
+        appendRequestFrame(burst, burstRequest(static_cast<uint64_t>(i + 1),
+                                               i == n / 2 ? "vgg16"
+                                                          : "mlp3"));
+    const int fd = rawConnect();
+    ASSERT_TRUE(sendAll(fd, burst));
+
+    ServingClient solo;
+    ASSERT_TRUE(solo.connect("127.0.0.1", server_->port()));
+    for (int i = 0; i < n; ++i) {
+        WireResponse response;
+        ASSERT_TRUE(rawReadResponse(fd, response)) << "frame " << i;
+        EXPECT_EQ(response.corrId, static_cast<uint64_t>(i + 1));
+        if (i == n / 2) {
+            EXPECT_EQ(response.status, WireStatus::UnknownModel);
+            continue;
+        }
+        ASSERT_EQ(response.status, WireStatus::Ok) << "frame " << i;
+        const WireRequest request = burstRequest(static_cast<uint64_t>(i + 1));
+        ServeOptions options;
+        options.seed = request.seed;
+        const WireResponse alone =
+            solo.infer(request.tenant, request.model, request.mode,
+                       request.image, options);
+        ASSERT_EQ(alone.status, WireStatus::Ok);
+        EXPECT_TRUE(bitEqual(response.logits, alone.logits)) << "frame " << i;
+    }
+    ::close(fd);
+}
+
+TEST_F(ServingServerTest, TrailingBadHeaderIsAnsweredAfterEarlierFrames)
+{
+    std::vector<uint8_t> burst;
+    for (uint64_t id = 1; id <= 3; ++id)
+        appendRequestFrame(burst, burstRequest(id));
+    const char garbage[] = "GET / HTTP/1.1\r\n\r\n";
+    burst.insert(burst.end(), garbage, garbage + sizeof(garbage) - 1);
+    const int fd = rawConnect();
+    ASSERT_TRUE(sendAll(fd, burst));
+
+    for (uint64_t id = 1; id <= 3; ++id) {
+        WireResponse response;
+        ASSERT_TRUE(rawReadResponse(fd, response)) << "frame " << id;
+        EXPECT_EQ(response.corrId, id);
+        EXPECT_EQ(response.status, WireStatus::Ok);
+    }
+    WireResponse rejected;
+    ASSERT_TRUE(rawReadResponse(fd, rejected));
+    EXPECT_EQ(rejected.status, WireStatus::BadFrame);
+    char byte;
+    EXPECT_LE(::recv(fd, &byte, 1, 0), 0) << "stream must close";
+    ::close(fd);
+}
+
+TEST_F(ServingServerTest, FrameWrittenAByteAtATimeIsServed)
+{
+    const int fd = rawConnect();
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    const std::vector<uint8_t> frame = encodeRequestFrame(burstRequest(9));
+    for (const uint8_t byte : frame)
+        ASSERT_EQ(::send(fd, &byte, 1, MSG_NOSIGNAL), 1);
+    WireResponse response;
+    ASSERT_TRUE(rawReadResponse(fd, response));
+    EXPECT_EQ(response.corrId, 9u);
+    EXPECT_EQ(response.status, WireStatus::Ok);
+    ::close(fd);
+}
+
+TEST_F(ServingServerTest, PayloadTooLargeIsDecidedFromTheHeader)
+{
+    // A body cap far below an mlp3 request, and a header whose length
+    // prefix is only just above it: the verdict comes from the header
+    // alone, though no body byte is ever sent.
+    ServerConfig config;
+    config.maxBodyBytes = 64;
+    ServingServer small(config, registry_);
+    small.start();
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(small.port());
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)),
+              0);
+    std::vector<uint8_t> header;
+    ByteWriter w(header);
+    w.u32(kWireMagic);
+    w.u8(kWireVersion);
+    w.u8(static_cast<uint8_t>(FrameType::Request));
+    w.u16(0);
+    w.u32(65);
+    ASSERT_TRUE(sendAll(fd, header));
+
+    WireResponse response;
+    ASSERT_TRUE(rawReadResponse(fd, response));
+    EXPECT_EQ(response.status, WireStatus::PayloadTooLarge);
+    char byte;
+    EXPECT_LE(::recv(fd, &byte, 1, 0), 0) << "stream must close";
+    ::close(fd);
+    small.stop();
+}
+
+TEST_F(ServingServerTest, WrongFrameTypeIsRejectedFromTheHeader)
+{
+    // A response header promising a body that never comes: the type is
+    // wrong, so the server answers from the header without waiting.
+    const int fd = rawConnect();
+    std::vector<uint8_t> frame = encodeRequestFrame(burstRequest(3));
+    frame[5] = static_cast<uint8_t>(FrameType::Response);
+    frame.resize(kHeaderBytes);
+    ASSERT_TRUE(sendAll(fd, frame));
+
+    WireResponse response;
+    ASSERT_TRUE(rawReadResponse(fd, response));
+    EXPECT_EQ(response.status, WireStatus::BadFrame);
+    char byte;
+    EXPECT_LE(::recv(fd, &byte, 1, 0), 0) << "stream must close";
+    ::close(fd);
+}
+
+TEST_F(ServingServerTest, ResponseStreamIsTheConcatenatedFrames)
+{
+    // Pipelined requests, then the raw reply bytes: they must be exactly
+    // the response frames back to back in request order -- coalescing
+    // changes how many sends carry them, never a byte.
+    const int n = 12;
+    const int fd = rawConnect();
+    for (int i = 0; i < n; ++i)
+        ASSERT_TRUE(sendAll(
+            fd, encodeRequestFrame(burstRequest(
+                    static_cast<uint64_t>(i + 1), "mlp3",
+                    i % 3 == 2 ? WireMode::Snn : WireMode::Ann))));
+
+    std::vector<uint8_t> raw;
+    std::vector<uint8_t> expected;
+    StreamBuffer in;
+    Frame frame;
+    for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(readFrame(fd, in, 1 << 24, FrameType::Response, frame),
+                  WireStatus::Ok);
+        raw.insert(raw.end(), in.data(), in.data() + frame.bytes);
+        WireResponse response;
+        ASSERT_EQ(decodeResponseBody(frame.body, frame.header.bodyLen,
+                                     response),
+                  WireStatus::Ok);
+        response.integrity = frame.header.integrity;
+        in.consume(frame.bytes);
+        EXPECT_EQ(response.corrId, static_cast<uint64_t>(i + 1));
+        EXPECT_EQ(response.status, WireStatus::Ok);
+        appendResponseFrame(expected, response);
+    }
+    EXPECT_EQ(in.size(), 0u) << "bytes beyond the last response";
+    EXPECT_EQ(raw, expected);
+    ::close(fd);
+}
+
+TEST_F(ServingServerTest, ResponseIsSentWhileTheNextRequestRuns)
+{
+    // Two SNN requests on the one-worker mlp3/snn engine: a short one,
+    // then one held back by a long evidence window. The model is
+    // resident first, so the reader queues both long before the first
+    // settles. The first response must arrive while the second still
+    // runs: a writer never holds a settled response for a later one.
+    auto snn = registry_->acquire("mlp3/snn");
+    ASSERT_NE(snn, nullptr);
+    const int fd = rawConnect();
+    std::vector<uint8_t> pair;
+    WireRequest quick = burstRequest(1, "mlp3", WireMode::Snn);
+    quick.timesteps = 2000;
+    appendRequestFrame(pair, quick);
+    WireRequest slow = burstRequest(2, "mlp3", WireMode::Snn);
+    slow.timesteps = 50000;
+    appendRequestFrame(pair, slow);
+    ASSERT_TRUE(sendAll(fd, pair));
+
+    WireResponse first;
+    ASSERT_TRUE(rawReadResponse(fd, first));
+    EXPECT_EQ(first.corrId, 1u);
+    EXPECT_EQ(first.status, WireStatus::Ok);
+    EXPECT_LT(snn->engine().completed(), 2u)
+        << "the held request settled before the first response was read";
+
+    WireResponse second;
+    ASSERT_TRUE(rawReadResponse(fd, second));
+    EXPECT_EQ(second.corrId, 2u);
+    EXPECT_EQ(second.status, WireStatus::Ok);
+    ::close(fd);
+}
+
+/**
+ * A scripted peer for the client: accepts one connection, reads @p n
+ * request frames, and answers each with logits equal to its image, in
+ * whatever write pattern @p writes cuts the concatenated responses into.
+ */
+void
+fakeServer(int listen_fd, int n,
+           const std::function<std::vector<size_t>(size_t)> &writes)
+{
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    ASSERT_GE(fd, 0);
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    StreamBuffer in;
+    Frame frame;
+    std::vector<uint8_t> out;
+    for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(readFrame(fd, in, 1 << 24, FrameType::Request, frame),
+                  WireStatus::Ok);
+        WireRequest request;
+        ASSERT_EQ(decodeRequestBody(frame.body, frame.header.bodyLen,
+                                    request),
+                  WireStatus::Ok);
+        in.consume(frame.bytes);
+        WireResponse response;
+        response.corrId = request.corrId;
+        response.predictedClass = i;
+        response.logits = request.image;
+        appendResponseFrame(out, response);
+    }
+    size_t at = 0;
+    for (const size_t cut : writes(out.size())) {
+        ASSERT_TRUE(
+            writeFully(fd, out.data() + at, cut - at));
+        at = cut;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(at, out.size());
+    char byte;
+    ::recv(fd, &byte, 1, 0); // hold the stream open until the client closes
+    ::close(fd);
+}
+
+TEST(ServingClientFraming, PackedAndSplitResponsesAllResolve)
+{
+    const int n = 6;
+    // Cut points into the concatenated response bytes: all in one write,
+    // and one split anywhere (including inside headers) per trial.
+    std::vector<std::function<std::vector<size_t>(size_t)>> patterns = {
+        [](size_t total) { return std::vector<size_t>{total}; },
+        [](size_t total) {
+            std::vector<size_t> cuts;
+            for (size_t at = 5; at < total; at += 97)
+                cuts.push_back(at);
+            cuts.push_back(total);
+            return cuts;
+        },
+    };
+    for (size_t split = 1; split < 40; split += 3)
+        patterns.push_back([split](size_t total) {
+            return std::vector<size_t>{split, total};
+        });
+
+    for (size_t p = 0; p < patterns.size(); ++p) {
+        const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+        ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        ASSERT_EQ(::listen(listen_fd, 1), 0);
+        socklen_t len = sizeof(addr);
+        ::getsockname(listen_fd, reinterpret_cast<sockaddr *>(&addr), &len);
+        std::thread peer(fakeServer, listen_fd, n, patterns[p]);
+
+        ServingClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", ntohs(addr.sin_port)));
+        std::vector<Tensor> images;
+        std::vector<std::future<WireResponse>> futures;
+        for (int i = 0; i < n; ++i) {
+            images.push_back(testImage(static_cast<uint64_t>(40 + i)));
+            futures.push_back(
+                client.inferAsync("t", "mlp3", WireMode::Ann, images.back()));
+        }
+        for (int i = 0; i < n; ++i) {
+            const WireResponse response = futures[i].get();
+            ASSERT_EQ(response.status, WireStatus::Ok)
+                << "pattern " << p << " response " << i;
+            EXPECT_EQ(response.predictedClass, i);
+            EXPECT_TRUE(bitEqual(response.logits, images[i]));
+        }
+        client.close();
+        peer.join();
+        ::close(listen_fd);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Server config validation
+// ---------------------------------------------------------------------------
+
+void
+expectRejected(const ServerConfig &config)
+{
+    auto registry =
+        std::make_shared<ModelRegistry>(fastRegistry({"mlp3/ann"}, 1));
+    EXPECT_THROW(ServingServer(config, registry), std::invalid_argument);
+}
+
+TEST(ServingServerConfig, ZeroPipelineDepthIsRejected)
+{
+    ServerConfig config;
+    config.pipelineDepth = 0;
+    expectRejected(config);
+}
+
+TEST(ServingServerConfig, NoConnectionsIsRejected)
+{
+    ServerConfig config;
+    config.maxConnections = 0;
+    expectRejected(config);
+}
+
+TEST(ServingServerConfig, NoBacklogIsRejected)
+{
+    ServerConfig config;
+    config.backlog = 0;
+    expectRejected(config);
+}
+
+TEST(ServingServerConfig, ZeroBodyCapIsRejected)
+{
+    ServerConfig config;
+    config.maxBodyBytes = 0;
+    expectRejected(config);
 }
 
 TEST_F(ServingServerTest, ClientSurvivesServerStop)
