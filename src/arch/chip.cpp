@@ -417,8 +417,7 @@ NebulaChip::emitGroup(MappedLayer &layer, size_t g, double *currents,
 
 void
 NebulaChip::readGroup(MappedLayer &layer, size_t g,
-                      const std::vector<double> *window, float *out,
-                      size_t stride)
+                      const std::vector<double> *window, float *out)
 {
     const CrossbarArray &xbar = *layer.groups[g];
     CrossbarEval &eval = prog_.evalWs;
@@ -429,7 +428,7 @@ NebulaChip::readGroup(MappedLayer &layer, size_t g,
     ++stats_.crossbarEvals;
     stats_.crossbarEnergy += eval.energy;
     billCheck(stats_, eval.check);
-    emitGroup(layer, g, eval.currents.data(), 1, out, stride);
+    emitGroup(layer, g, eval.currents.data(), 1, out, 1);
 }
 
 void
@@ -445,16 +444,14 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
     const bool conv = dw || src.kind() == LayerKind::Conv;
     NEBULA_ASSERT(conv || src.kind() == LayerKind::Linear,
                   "unsupported weight layer on chip: ", src.name());
-    // The ANN conv read takes each element's drive voltage through the
-    // im2col table (evaluateIndexed); every other read takes voltage
-    // factors.
-    const bool indexed = conv && !binary;
     const size_t groups = layer.groups.size();
 
     // An input element feeds up to k*k overlapping windows, so its
-    // clamp, DAC quantization and (indexed) drive run once. One dark
-    // entry sits in front of the input, at offset -1: the im2col
-    // table's padding index reads it, so a gather never branches.
+    // clamp, DAC quantization (ANN) and drive run once. A conv read
+    // takes drive voltages through the im2col table, a Linear read
+    // voltage factors. One dark entry sits in front of the input, at
+    // offset -1: the im2col table's padding index reads it, so a
+    // gather never branches.
     std::vector<double> &norm = prog_.inputs;
     norm.resize(static_cast<size_t>(input.size()) + 1);
     norm[0] = 0.0;
@@ -465,19 +462,18 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
         if (!binary)
             x = dac_.quantizedOutput(x);
         norm[static_cast<size_t>(i) + 1] =
-            indexed ? layer.groups[0]->drive(x) : x;
+            conv ? layer.groups[0]->drive(x) : x;
     }
 
     const int kernels = src.numKernels();
-    std::vector<double> &window = prog_.window;
     if (!conv) {
         NEBULA_ASSERT(input.size() == static_cast<const Linear &>(src)
                                           .inFeatures(),
                       "linear input mismatch on chip");
-        window.assign(in, in + input.size());
+        prog_.window.assign(in, in + input.size());
         output.ensureShape({1, kernels});
         for (size_t g = 0; g < groups; ++g)
-            readGroup(layer, g, &window, output.data(), 1);
+            readGroup(layer, g, &prog_.window, output.data());
     } else {
         NEBULA_ASSERT(!dw || layer.dwKernelsPerAc > 0,
                       "depthwise layer not diagonal-packed");
@@ -501,8 +497,7 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
         // one table serves all column groups; a diagonal-packed DwConv
         // group's window spans only its own channels, so each group has
         // a table. Built on the first input of each (H, W) and kept on
-        // the layer: the ANN read's tiles load their drives through it,
-        // and an SNN window is one table walk with no bounds checks.
+        // the layer, the read's tiles load their drives through it.
         if (layer.gatherH != in_h || layer.gatherW != in_w) {
             layer.gather.assign(dw ? groups : 1, {});
             for (size_t t = 0; t < layer.gather.size(); ++t) {
@@ -531,46 +526,28 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
             layer.gatherH = in_h;
             layer.gatherW = in_w;
         }
-        // The im2col rows of group @p g's windows from window @p first.
-        const auto table = [&](size_t g, size_t first) {
-            return layer.gather[dw ? g : 0].data() +
-                   first * static_cast<size_t>(layer.groups[g]->rows());
-        };
-
-        if (indexed) {
-            // ANN mode: one output row of windows per crossbar call, so
-            // the cached conductance matrix streams once per four
-            // windows. Each window's results are bit-identical to its
-            // own solo read; the row's energy is one window-order sum.
-            prog_.currents.resize(static_cast<size_t>(out_w) *
-                                  layer.groupKernels);
-            prog_.checks.resize(static_cast<size_t>(out_w));
-            for (int oh = 0; oh < out_h; ++oh)
-                for (size_t g = 0; g < groups; ++g) {
-                    const size_t first = static_cast<size_t>(oh) * out_w;
-                    stats_.crossbarEnergy += layer.groups[g]->evaluateIndexed(
-                        in, table(g, first), out_w, config_.cycleTime,
-                        prog_.currents.data(), prog_.checks.data());
-                    stats_.crossbarEvals += out_w;
-                    for (const CrossbarCheck &check : prog_.checks)
-                        billCheck(stats_, check);
-                    emitGroup(layer, g, prog_.currents.data(), out_w,
-                              out_p + first, plane);
-                }
-        } else {
-            // SNN mode: one spike window at a time. Its dark rows are
-            // skipped and the rest driven at clamp(1.0) * V == V, so
-            // the dense read is the spike driver's read bit for bit.
-            for (size_t pos = 0; pos < plane; ++pos)
-                for (size_t g = 0; g < groups; ++g) {
-                    const int *idx = table(g, pos);
-                    window.resize(
-                        static_cast<size_t>(layer.groups[g]->rows()));
-                    for (size_t e = 0; e < window.size(); ++e)
-                        window[e] = in[idx[e]];
-                    readGroup(layer, g, &window, out_p + pos, plane);
-                }
-        }
+        // One output row of windows per crossbar call, so the cached
+        // conductance matrix streams once per four windows. Each
+        // window's results are bit-identical to its own solo read; the
+        // row's energy is one window-order sum.
+        prog_.currents.resize(static_cast<size_t>(out_w) *
+                              layer.groupKernels);
+        prog_.checks.resize(static_cast<size_t>(out_w));
+        for (int oh = 0; oh < out_h; ++oh)
+            for (size_t g = 0; g < groups; ++g) {
+                const size_t first = static_cast<size_t>(oh) * out_w;
+                const int *table =
+                    layer.gather[dw ? g : 0].data() +
+                    first * static_cast<size_t>(layer.groups[g]->rows());
+                stats_.crossbarEnergy += layer.groups[g]->evaluateIndexed(
+                    in, table, out_w, config_.cycleTime,
+                    prog_.currents.data(), prog_.checks.data());
+                stats_.crossbarEvals += out_w;
+                for (const CrossbarCheck &check : prog_.checks)
+                    billCheck(stats_, check);
+                emitGroup(layer, g, prog_.currents.data(), out_w,
+                          out_p + first, plane);
+            }
     }
     span.arg("crossbar_evals",
              static_cast<double>(stats_.crossbarEvals - evals_before));
@@ -645,7 +622,7 @@ NebulaChip::runSparseStage(Stage &stage)
     obs::TraceSpan span("chip", "layer.eval");
     span.arg("layer", static_cast<double>(layer.map.layerIndex));
     for (size_t g = 0; g < layer.groups.size(); ++g)
-        readGroup(layer, g, nullptr, stage.out.data(), 1);
+        readGroup(layer, g, nullptr, stage.out.data());
     span.arg("crossbar_evals", static_cast<double>(layer.groups.size()));
 }
 

@@ -223,8 +223,12 @@ class NebulaChip
     /**
      * Evaluate a mapped weight layer on a real-unit input tensor into
      * @p output as real-unit pre-activations (1, K, H', W') or (1, K),
-     * reusing its storage when the shape matches.
-     * @param binary True when inputs are spike maps (SNN drivers).
+     * reusing its storage when the shape matches. A Conv or DwConv, in
+     * either mode, reads one output row of im2col windows per column
+     * group and call (CrossbarArray::evaluateIndexed); a Linear reads
+     * each group through readGroup().
+     * @param binary True in SNN mode: inputs (spike maps or pooled
+     *               spike rates) drive at clamp(x) * V, with no DAC.
      */
     void evaluateLayer(MappedLayer &layer, const Tensor &input, bool binary,
                        Tensor &output);
@@ -242,13 +246,13 @@ class NebulaChip
 
     /**
      * Read column group @p g of @p layer into the program's result
-     * workspace -- driven by the dense @p window, or by the active-row
-     * list when @p window is null -- bill the evaluation and emit its
-     * outputs into out[k * stride] for each kernel k of the group.
+     * workspace -- driven by a Linear's dense input factors @p window,
+     * or by the active-row list when @p window is null (a Sparse
+     * stage) -- bill the evaluation and emit its outputs into out[k]
+     * for each kernel k of the group.
      */
     void readGroup(MappedLayer &layer, size_t g,
-                   const std::vector<double> *window, float *out,
-                   size_t stride);
+                   const std::vector<double> *window, float *out);
 
     /**
      * One step of the compiled stage list. The kind is fixed at program
@@ -282,9 +286,9 @@ class NebulaChip
         Tensor input;              //!< the image with its batch dim
         Tensor spikeBuf;           //!< encoder output (dense input)
         SpikeVector active;        //!< active-row list between stages
-        /** One layer's input factors (indexed read: drives), dark first. */
+        /** One layer's input factors (conv read: drives), dark first. */
         std::vector<double> inputs;
-        std::vector<double> window; //!< one solo read's input factors
+        std::vector<double> window; //!< a Linear read's input factors
         CrossbarEval evalWs;       //!< solo read result workspace
         std::vector<double> currents;      //!< indexed read currents
         std::vector<CrossbarCheck> checks; //!< indexed read verdicts

@@ -219,9 +219,10 @@ class CrossbarArray
                                double duration) const;
 
     /**
-     * evaluateIdeal() into a caller-owned result, so per-window inner
-     * loops reuse one allocation. The result always holds exactly
-     * cols() currents, and `check` is reset when abft is off.
+     * evaluateIdeal() into a caller-owned result, so repeated reads (a
+     * Linear layer's groups, run after run) reuse one allocation. The
+     * result always holds exactly cols() currents, and `check` is
+     * reset when abft is off.
      */
     void evaluateIdealInto(const std::vector<double> &inputs,
                            double duration, CrossbarEval &eval) const;
@@ -249,7 +250,7 @@ class CrossbarArray
 
     /**
      * Read @p batch windows drawn through an im2col index table -- the
-     * ANN conv read. Window b drives row i at drive[index[b * rows + i]]:
+     * conv read. Window b drives row i at drive[index[b * rows + i]]:
      * @p drive holds drive() of every input element, and index -1 reads
      * the dark entry drive[-1], which must be 0. Windows are processed
      * in register-blocked groups of four: a cached conductance row is

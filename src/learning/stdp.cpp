@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reliability/fault_model.hpp"
-#include "snn/encoder.hpp"
 
 namespace nebula {
 
@@ -97,10 +96,11 @@ StdpClusterer::present(const Tensor &image, bool learn)
         deriveFaultSeed(config_.seed,
                         static_cast<uint64_t>(presentCounter_)));
     ++presentCounter_;
+    encoder.buildPlan(input, plan_);
 
     const double kappa = xbar_.currentScale();
     for (int t = 0; t < config_.timesteps; ++t) {
-        encoder.encodeActive(input, active_);
+        encoder.encodeActive(plan_, active_);
         for (int i : active_)
             ++rowSpikes_[static_cast<size_t>(i)];
         CrossbarEval &eval = readWs_;

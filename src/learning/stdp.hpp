@@ -25,6 +25,7 @@
 
 #include "circuit/crossbar.hpp"
 #include "nn/datasets.hpp"
+#include "snn/encoder.hpp"
 #include "snn/if_layer.hpp"
 
 namespace nebula {
@@ -157,6 +158,7 @@ class StdpClusterer
     double readEnergy_ = 0.0;
     std::vector<int> rowSpikes_;
     std::vector<float> stepIn_, stepOut_;
+    PoissonEncoder::EncodePlan plan_; //!< encode plan of one presentation
     SpikeVector active_;
     CrossbarEval readWs_; //!< crossbar read result, reused every step
     Tensor augmented_; //!< scratch ON/OFF-stacked input

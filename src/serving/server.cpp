@@ -315,7 +315,7 @@ ServingServer::enqueueReady(Connection &conn, WireResponse response,
     conn.cv.notify_all();
 }
 
-bool
+void
 ServingServer::dispatch(Connection &conn, WireRequest request)
 {
     obs::TraceSpan span("serving", "request");
@@ -345,7 +345,7 @@ ServingServer::dispatch(Connection &conn, WireRequest request)
         response.status = WireStatus::QuotaExceeded;
         response.message = "tenant over admission quota";
         enqueueReady(conn, std::move(response));
-        return true;
+        return;
     }
 
     std::shared_ptr<ModelInstance> instance = registry_->acquire(catalog_id);
@@ -355,7 +355,7 @@ ServingServer::dispatch(Connection &conn, WireRequest request)
         response.status = WireStatus::UnknownModel;
         response.message = "no servable '" + catalog_id + "' in catalog";
         enqueueReady(conn, std::move(response));
-        return true;
+        return;
     }
 
     if (request.image.shape() != instance->inputShape()) {
@@ -364,7 +364,7 @@ ServingServer::dispatch(Connection &conn, WireRequest request)
         response.status = WireStatus::BadRequest;
         response.message = "image shape does not match model input";
         enqueueReady(conn, std::move(response));
-        return true;
+        return;
     }
 
     Connection::Cell &cell = conn.cellFor(request.tenant, catalog_id);
@@ -402,7 +402,7 @@ ServingServer::dispatch(Connection &conn, WireRequest request)
         response.status = WireStatus::EngineStopped;
         response.message = "model engine stopped during submit";
         enqueueReady(conn, std::move(response));
-        return true;
+        return;
     }
 
     std::unique_lock<std::mutex> lock(conn.mutex);
@@ -418,7 +418,6 @@ ServingServer::dispatch(Connection &conn, WireRequest request)
     conn.pipeline.push_back(std::move(pending));
     lock.unlock();
     conn.cv.notify_all();
-    return true;
 }
 
 void
@@ -427,8 +426,7 @@ ServingServer::readerLoop(Connection &conn)
     obs::setThreadName("serving.conn" + std::to_string(conn.id) + ".r");
     StreamBuffer in;
     Frame frame;
-    bool keep_going = true;
-    while (keep_going) {
+    for (;;) {
         const WireStatus header_status = readFrame(
             conn.fd, in, config_.maxBodyBytes, FrameType::Request, frame);
         if (header_status == WireStatus::ConnectionLost)
@@ -468,7 +466,7 @@ ServingServer::readerLoop(Connection &conn)
             continue;
         }
 
-        keep_going = dispatch(conn, std::move(request));
+        dispatch(conn, std::move(request));
     }
 
     {

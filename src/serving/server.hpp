@@ -147,8 +147,8 @@ class ServingServer
     void readerLoop(Connection &conn);
     void writerLoop(Connection &conn);
 
-    /** Serve one decoded request; returns false to close the stream. */
-    bool dispatch(Connection &conn, WireRequest request);
+    /** Serve one decoded request: its response joins the pipeline. */
+    void dispatch(Connection &conn, WireRequest request);
 
     /** Queue an already-resolved response on the writer pipeline. */
     void enqueueReady(Connection &conn, WireResponse response,

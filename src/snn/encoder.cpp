@@ -34,19 +34,6 @@ PoissonEncoder::encodeInto(const Tensor &image, Tensor &out)
 }
 
 void
-PoissonEncoder::encodeActive(const Tensor &image, std::vector<int> &active)
-{
-    active.clear();
-    const float *in = image.data();
-    for (long long i = 0; i < image.size(); ++i) {
-        const double p =
-            std::clamp(static_cast<double>(in[i]), 0.0, 1.0) * rateScale_;
-        if (rng_.bernoulli(p))
-            active.push_back(static_cast<int>(i));
-    }
-}
-
-void
 PoissonEncoder::buildPlan(const Tensor &image, EncodePlan &plan) const
 {
     plan.index.clear();

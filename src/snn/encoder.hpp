@@ -39,15 +39,6 @@ class PoissonEncoder
     void encodeInto(const Tensor &image, Tensor &out);
 
     /**
-     * One timestep as an ascending active-pixel index list (the form
-     * sparse crossbar drivers consume) without materializing the spike
-     * tensor. Draw-for-draw identical to encode(): element i spikes in
-     * encodeActive() exactly when it spikes in encode() at the same
-     * stream position.
-     */
-    void encodeActive(const Tensor &image, std::vector<int> &active);
-
-    /**
      * Precomputed encoding work for one image: the ascending indices of
      * its pixels with nonzero firing probability, and that probability.
      * Serving loops that present the same image for many timesteps
@@ -63,9 +54,11 @@ class PoissonEncoder
     void buildPlan(const Tensor &image, EncodePlan &plan) const;
 
     /**
-     * encodeActive() driven by a precomputed plan. Draw-for-draw
-     * identical to encode(image): zero-probability pixels consume no
-     * random draws in either form, so skipping them does not shift the
+     * One timestep as an ascending active-pixel index list (the form
+     * sparse crossbar drivers consume), driven by a precomputed plan,
+     * without materializing the spike tensor. Draw-for-draw identical
+     * to encode(image): zero-probability pixels consume no random
+     * draws in either form, so skipping them does not shift the
      * stream, and the drawing pixels are visited in the same order.
      */
     void encodeActive(const EncodePlan &plan, std::vector<int> &active);

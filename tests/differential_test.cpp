@@ -134,7 +134,10 @@ TEST(Differential, SparseMatchesReferenceBitExact)
  * padding 0..k-1; the batch is a run of consecutive windows of its
  * im2col table, from anywhere in the output plane. An input element is
  * dark (+0.0 or -0.0) at the case's sparsity and otherwise drawn from
- * [-0.1, 1.1], so the drive clamp acts on both ends.
+ * [-0.1, 1.1], so the drive clamp acts on both ends. An SNN-mode case
+ * then reads a second input, the kind a spiking conv drives: a spike
+ * map (0 or 1) or, on a coin flip, an average-pooled one (j / p^2 for
+ * a p x p pool, p of 2 or 3), dark at the case's sparsity.
  */
 std::string
 compareIndexedToSolo(const CaseConfig &config, int min_batch, int max_batch)
@@ -178,66 +181,86 @@ compareIndexedToSolo(const CaseConfig &config, int min_batch, int max_batch)
     const int first = rng.uniformInt(0, windows - batch);
 
     std::vector<double> x(static_cast<size_t>(channels) * in_h * in_w);
-    for (double &v : x)
-        v = rng.bernoulli(config.sparsity)
-                ? (rng.bernoulli(0.5) ? 0.0 : -0.0)
-                : rng.uniform(-0.1, 1.1);
-    std::vector<double> drive(x.size() + 1, 0.0); // dark entry first
-    for (size_t e = 0; e < x.size(); ++e)
-        drive[e + 1] = xbar.drive(x[e]);
-
-    // Sentinels past the batch, and verdicts that must be overwritten.
-    constexpr double kSentinel = 12345.0;
-    std::vector<double> currents(static_cast<size_t>(batch + 4) * cols,
-                                 kSentinel);
-    std::vector<CrossbarCheck> checks(static_cast<size_t>(batch),
-                                      CrossbarCheck{7, 7, -1.0, -1.0});
-    const int *index = table.data() + static_cast<size_t>(first) * rows;
-    const double energy = xbar.evaluateIndexed(
-        drive.data() + 1, index, batch, kCycle, currents.data(),
-        checks.data());
-    for (size_t e = static_cast<size_t>(batch) * cols; e < currents.size();
-         ++e)
-        if (currents[e] != kSentinel)
-            return "indexed read wrote past its batch";
-
-    std::vector<double> window(static_cast<size_t>(rows));
-    double energy_sum = 0.0;
-    for (int b = 0; b < batch; ++b) {
-        for (int i = 0; i < rows; ++i) {
-            const int idx = index[static_cast<size_t>(b) * rows + i];
-            window[static_cast<size_t>(i)] =
-                idx < 0 ? 0.0 : x[static_cast<size_t>(idx)];
+    for (int draw = 0; draw < (config.snnMode ? 2 : 1); ++draw) {
+        std::string input = "general";
+        if (draw == 0) {
+            for (double &v : x)
+                v = rng.bernoulli(config.sparsity)
+                        ? (rng.bernoulli(0.5) ? 0.0 : -0.0)
+                        : rng.uniform(-0.1, 1.1);
+        } else {
+            const int pool = rng.bernoulli(0.5) ? 1 : rng.uniformInt(2, 3);
+            const int area = pool * pool;
+            input = pool == 1 ? "spikes" : "pooled/" + std::to_string(area);
+            for (double &v : x)
+                v = rng.bernoulli(config.sparsity)
+                        ? 0.0
+                        : static_cast<double>(
+                              static_cast<float>(rng.uniformInt(1, area)) /
+                              static_cast<float>(area));
         }
-        const CrossbarEval solo = xbar.evaluateIdeal(window, kCycle);
-        std::ostringstream out;
-        out.precision(17);
-        out << "k=" << k << " stride=" << stride << " pad=" << pad
-            << " batch=" << batch << " window " << b << ": ";
-        for (int c = 0; c < cols; ++c) {
-            const double got = currents[static_cast<size_t>(b) * cols + c];
-            if (got != solo.currents[static_cast<size_t>(c)]) {
-                out << "col " << c << ": indexed " << got << " != solo "
-                    << solo.currents[static_cast<size_t>(c)];
-                return out.str();
+        std::vector<double> drive(x.size() + 1, 0.0); // dark entry first
+        for (size_t e = 0; e < x.size(); ++e)
+            drive[e + 1] = xbar.drive(x[e]);
+
+        // Sentinels past the batch, and verdicts that must be
+        // overwritten.
+        constexpr double kSentinel = 12345.0;
+        std::vector<double> currents(static_cast<size_t>(batch + 4) * cols,
+                                     kSentinel);
+        std::vector<CrossbarCheck> checks(static_cast<size_t>(batch),
+                                          CrossbarCheck{7, 7, -1.0, -1.0});
+        const int *index = table.data() + static_cast<size_t>(first) * rows;
+        const double energy = xbar.evaluateIndexed(
+            drive.data() + 1, index, batch, kCycle, currents.data(),
+            checks.data());
+        for (size_t e = static_cast<size_t>(batch) * cols;
+             e < currents.size(); ++e)
+            if (currents[e] != kSentinel)
+                return "indexed read wrote past its batch";
+
+        std::vector<double> window(static_cast<size_t>(rows));
+        double energy_sum = 0.0;
+        for (int b = 0; b < batch; ++b) {
+            for (int i = 0; i < rows; ++i) {
+                const int idx = index[static_cast<size_t>(b) * rows + i];
+                window[static_cast<size_t>(i)] =
+                    idx < 0 ? 0.0 : x[static_cast<size_t>(idx)];
             }
+            const CrossbarEval solo = xbar.evaluateIdeal(window, kCycle);
+            std::ostringstream out;
+            out.precision(17);
+            out << "k=" << k << " stride=" << stride << " pad=" << pad
+                << " batch=" << batch << " input=" << input << " window "
+                << b << ": ";
+            for (int c = 0; c < cols; ++c) {
+                const double got =
+                    currents[static_cast<size_t>(b) * cols + c];
+                if (got != solo.currents[static_cast<size_t>(c)]) {
+                    out << "col " << c << ": indexed " << got
+                        << " != solo " << solo.currents[static_cast<size_t>(c)];
+                    return out.str();
+                }
+            }
+            const std::string detail =
+                compareCheck(checks[static_cast<size_t>(b)], solo.check);
+            if (!detail.empty())
+                return out.str() + "indexed vs solo " + detail;
+            energy_sum += solo.energy;
         }
-        const std::string detail =
-            compareCheck(checks[static_cast<size_t>(b)], solo.check);
-        if (!detail.empty())
-            return out.str() + "indexed vs solo " + detail;
-        energy_sum += solo.energy;
+        if (energy != energy_sum)
+            return "indexed energy is not the window-order sum of solo "
+                   "energies";
     }
-    if (energy != energy_sum)
-        return "indexed energy is not the window-order sum of solo energies";
     return std::string();
 }
 
 TEST(Differential, BatchMatchesSingleEvalBitExact)
 {
-    // The ANN conv read (evaluateIndexed) against the solo read of each
-    // gathered window. Half the cases program the ABFT checksum column,
-    // so the per-window verdicts the conv path bills are pinned too.
+    // The conv read (evaluateIndexed) against the solo read of each
+    // gathered window, SNN cases on spike and pooled inputs too. Half
+    // the cases program the ABFT checksum column, so the per-window
+    // verdicts the conv path bills are pinned too.
     // randomCase sweeps geometry, spare columns, fault maps, mitigations
     // and input sparsity; batches of 1 to 13 windows cover every
     // remainder of the kernel's 4-window register blocking.

@@ -162,11 +162,14 @@ checkGolden(const std::string &name, const Golden &actual)
             << "golden " << name << " key order changed at record " << i;
         if (expected[i].second == actual[i].second)
             continue;
-        // Not textually identical: allow 1e-12 relative for floats.
+        // Not textually identical: allow 1e-12 relative for floats,
+        // relative to the value itself, so a joule total near 1e-8 is
+        // pinned as tightly as a logit (with |want| floored at 1 it
+        // could move by 1e-4 of itself).
         const double want = std::strtod(expected[i].second.c_str(), nullptr);
         const double got = std::strtod(actual[i].second.c_str(), nullptr);
         EXPECT_LE(std::abs(got - want),
-                  1e-12 * std::max(1.0, std::abs(want)))
+                  1e-12 * std::max(std::abs(want), 1e-300))
             << "golden " << name << " drifted at " << actual[i].first
             << ": expected " << expected[i].second << ", got "
             << actual[i].second
@@ -315,8 +318,8 @@ buildDwNet(uint64_t seed)
 
 TEST(Golden, DwConvOnChip)
 {
-    // Depthwise conv on both chip paths with ABFT on: ANN rows through
-    // the neuron units, SNN windows driven by IF spikes.
+    // Depthwise conv in both chip modes with ABFT on: ANN rows through
+    // the neuron units, SNN rows driven by IF spikes.
     SyntheticDigits data(16, kImageSize, /*seed=*/61);
     NebulaConfig config;
     config.abft = true;
