@@ -8,6 +8,10 @@
  * the device/circuit/arch stack fails here even if accuracy metrics
  * happen to survive it.
  *
+ * Golden.AnalyticalModels pins the analytical side the same way: the
+ * mapping, EnergyModel (ANN, SNN, hybrid), ISAAC/INXS, pipeline and
+ * placement figures of four full-size paper topologies.
+ *
  * The servable weight artifacts under src/serving/artifacts/ are
  * goldens too: Golden.ServableArtifactsRetrainBitIdentical retrains
  * each shipped prototype from its spec and requires the committed
@@ -35,6 +39,12 @@
 #include <vector>
 
 #include "arch/chip.hpp"
+#include "arch/energy_model.hpp"
+#include "arch/mapping.hpp"
+#include "arch/pipeline.hpp"
+#include "arch/placement.hpp"
+#include "baselines/inxs.hpp"
+#include "baselines/isaac.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
 #include "nn/linear.hpp"
@@ -381,6 +391,92 @@ TEST(Golden, HybridAccumulatorSums)
     }
     addInt(g, "boundary_neurons", hybrid.boundaryNeurons());
     checkGolden("hybrid_accum.txt", g);
+}
+
+/** Totals, timing and every component joule of one EnergyModel run. */
+void
+addInferenceEnergy(Golden &g, const std::string &prefix,
+                   const InferenceEnergy &e)
+{
+    addFloat(g, prefix + ".total_j", e.totalEnergy);
+    addFloat(g, prefix + ".latency_s", e.latency);
+    addFloat(g, prefix + ".peak_w", e.peakPower);
+    for (const auto &kv : e.byComponent)
+        addFloat(g, prefix + ".j." + kv.first, kv.second);
+}
+
+TEST(Golden, AnalyticalModels)
+{
+    // Full-size paper topologies covering every mapping shape: Linear
+    // (mlp3), Conv (lenet5), DwConv (mobilenet) and kernels that spill
+    // over several cores through the ADC (vgg13's 512-channel 3x3
+    // convs, Rf 4608 > 16M).
+    constexpr int kSnnSteps = 300;
+    Golden g;
+    for (const std::string name : {"mlp3", "lenet5", "vgg13", "mobilenet"}) {
+        Network net = buildPaperModel(name);
+        const bool mnist = name == "mlp3" || name == "lenet5";
+        const int spatial = mnist ? 28 : 32;
+        net.forward(Tensor({1, mnist ? 1 : 3, spatial, spatial}));
+        const NetworkMapping mapping = LayerMapper().map(net);
+        const size_t layers = mapping.layers.size();
+
+        long long adc = 0, ru = 0, dac_rows = 0, outputs = 0;
+        for (const LayerMapping &m : mapping.layers) {
+            adc += m.adcConversions;
+            ru += m.ruAdditions;
+            dac_rows += m.dacRowsPerEval;
+            outputs += m.outputElements;
+        }
+        const std::string p = name + ".";
+        addInt(g, p + "map.layers", static_cast<long long>(layers));
+        addInt(g, p + "map.cores", mapping.totalCores());
+        addInt(g, p + "map.acs", mapping.totalAcs());
+        addInt(g, p + "map.any_adc", mapping.anyAdc() ? 1 : 0);
+        addInt(g, p + "map.adc_conversions", adc);
+        addInt(g, p + "map.ru_additions", ru);
+        addInt(g, p + "map.dac_rows_per_eval", dac_rows);
+        addInt(g, p + "map.output_elements", outputs);
+
+        const EnergyModel model;
+        const ActivityProfile uniform = ActivityProfile::uniform(layers, 0.5);
+        const ActivityProfile decaying = ActivityProfile::decaying(layers);
+        addInferenceEnergy(g, p + "ann", model.evaluateAnn(mapping, uniform));
+        addInferenceEnergy(g, p + "snn",
+                           model.evaluateSnn(mapping, decaying, kSnnSteps));
+        const int split = std::max<int>(1, static_cast<int>(layers) / 2);
+        const long long boundary =
+            mapping.layers[static_cast<size_t>(split) - 1].outputElements;
+        addInferenceEnergy(g, p + "hybrid",
+                           model.evaluateHybrid(mapping, decaying, split,
+                                                kSnnSteps, boundary,
+                                                boundary * 15));
+
+        addFloat(g, p + "isaac4.total_j",
+                 IsaacModel().evaluate(mapping, 0.5).totalEnergy);
+        addFloat(g, p + "isaac16.total_j",
+                 IsaacModel(IsaacConfig::original16bit())
+                     .evaluate(mapping, 0.5)
+                     .totalEnergy);
+        addFloat(g, p + "inxs.total_j",
+                 InxsModel()
+                     .evaluate(mapping, decaying.inputActivity, kSnnSteps)
+                     .totalEnergy);
+
+        const PipelineModel pipeline;
+        addInt(g, p + "pipeline.cycles",
+               pipeline.networkLatencyCycles(mapping));
+        addFloat(g, p + "pipeline.latency_s", pipeline.networkLatency(mapping));
+        addFloat(g, p + "pipeline.snn_latency_s",
+                 pipeline.networkLatency(mapping, kSnnSteps));
+
+        const ChipPlacer placer;
+        addInt(g, p + "place.ann_cores",
+               placer.place(mapping, Mode::ANN).coresUsed);
+        addInt(g, p + "place.snn_cores",
+               placer.place(mapping, Mode::SNN).coresUsed);
+    }
+    checkGolden("analytical.txt", g);
 }
 
 TEST(Golden, ServableArtifactsRetrainBitIdentical)
