@@ -32,7 +32,7 @@ evaluateWith(const MapperOptions &options, const std::string &model_name,
     Tensor x({1, 3, spatial, spatial});
     net.forward(x);
 
-    LayerMapper mapper({}, options);
+    LayerMapper mapper(options);
     const auto mapping = mapper.map(net);
     if (cores_out) {
         *cores_out = 0;

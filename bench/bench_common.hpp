@@ -26,6 +26,7 @@
 #include "arch/mapping.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
+#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "nn/datasets.hpp"
@@ -87,12 +88,31 @@ gitShortRev()
 }
 
 /**
+ * The clone NEBULA_TARGET_CLONES dispatches to on this CPU, checked in
+ * the resolver's priority order: "avx512f", else "avx2", else
+ * "default" (also the answer for a build without clones).
+ */
+inline std::string
+simdClone()
+{
+#ifdef NEBULA_HAS_TARGET_CLONES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512f";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
+}
+
+/**
  * Write the recorded results as BENCH_<basename(argv0)>.json in the
  * working directory. Always records a "completed" scalar first, so
  * every benchmark emits at least one metric even if its study recorded
  * nothing explicitly. Every summary carries a "meta" section stamping
- * when it was produced and from which commit, so a regression checker
- * comparing two BENCH files can tell which builds it is comparing.
+ * when it was produced, from which commit and which SIMD clone of the
+ * hot kernels ran, so a regression checker comparing two BENCH files
+ * can tell which builds it is comparing.
  */
 inline void
 writeBenchSummary(const char *argv0)
@@ -113,7 +133,9 @@ writeBenchSummary(const char *argv0)
         const std::string meta = "\"meta\":{\"generatedAtUtc\":" +
                                  json::quoted(isoUtcNow()) +
                                  ",\"gitRev\":" +
-                                 json::quoted(gitShortRev()) + "},";
+                                 json::quoted(gitShortRev()) +
+                                 ",\"simd\":" + json::quoted(simdClone()) +
+                                 "},";
         body.insert(brace + 1, meta);
         std::ofstream out(path);
         ok = static_cast<bool>(out << body << "\n");

@@ -27,10 +27,10 @@ report()
     Table derived("Derived quantities", {"quantity", "value"});
     derived.row()
         .add("pipeline stage")
-        .add(formatDouble(db.cycleTime() / units::ns, 0) + " ns");
+        .add(formatDouble(kCycleTime / units::ns, 0) + " ns");
     derived.row()
         .add("digital clock")
-        .add(formatDouble(db.digitalClock() / 1e9, 1) + " GHz");
+        .add(formatDouble(kDigitalClock / 1e9, 1) + " GHz");
     derived.row()
         .add("ANN/SNN super-tile power ratio")
         .add(formatRatio(db.superTilePower(Mode::ANN) /
@@ -40,10 +40,10 @@ report()
         .add(formatRatio(db.annDacPower() / db.snnDriverPower()));
     derived.row()
         .add("max in-core receptive field (16M)")
-        .add(static_cast<long long>(db.maxInCoreReceptiveField()));
+        .add(static_cast<long long>(kMaxInCoreRf));
     derived.row()
         .add("weight/activation precision")
-        .add(static_cast<long long>(db.precisionBits()));
+        .add(static_cast<long long>(kPrecisionBits));
     derived.print(std::cout);
 }
 

@@ -25,8 +25,7 @@ namespace {
  * inference path.
  */
 void
-publishMappingMetrics(const char *mode, const NebulaConfig &config,
-                      const NetworkMapping &mapping)
+publishMappingMetrics(const char *mode, const NetworkMapping &mapping)
 {
     auto &registry = obs::MetricsRegistry::global();
     registry.gauge("chip.layers").set(
@@ -36,7 +35,7 @@ publishMappingMetrics(const char *mode, const NebulaConfig &config,
     registry.gauge("chip.crossbars").set(
         static_cast<double>(mapping.totalAcs()));
 
-    PipelineModel pipeline(config);
+    PipelineModel pipeline;
     for (const LayerMapping &layer : mapping.layers) {
         const obs::Labels labels = {
             {"layer", std::to_string(layer.layerIndex)}};
@@ -101,7 +100,6 @@ estimateEnergyBreakdown(const ChipStats &before, const ChipStats &after,
                         Mode mode)
 {
     const ComponentDb &db = componentDb();
-    const double cycle = db.cycleTime();
     const double evals =
         static_cast<double>(after.crossbarEvals - before.crossbarEvals);
     const double conversions =
@@ -110,28 +108,24 @@ estimateEnergyBreakdown(const ChipStats &before, const ChipStats &after,
     EnergyBreakdown out;
     out.crossbarJ = after.crossbarEnergy - before.crossbarEnergy;
     out.nocJ = after.nocEnergy - before.nocEnergy;
-    // One crossbar evaluation keeps its 1/crossbarsPerCore share of the
+    // One crossbar evaluation keeps its 1/kCrossbarsPerCore share of the
     // core's driver bank (ANN DAC array vs. SNN spike drivers) and
     // neuron units busy for one cycle; one ADC conversion is one ADC
     // active for one cycle.
     const double driver_power =
         mode == Mode::ANN ? db.annDacPower() : db.snnDriverPower();
-    out.driverJ = evals * driver_power / db.crossbarsPerCore() * cycle;
-    out.neuronJ = evals * db.neuronUnitPower() / db.crossbarsPerCore() * cycle;
-    out.adcJ = conversions * db.adcPower() * cycle;
+    out.driverJ = evals * driver_power / kCrossbarsPerCore * kCycleTime;
+    out.neuronJ =
+        evals * db.neuronUnitPower() / kCrossbarsPerCore * kCycleTime;
+    out.adcJ = conversions * db.adcPower() * kCycleTime;
     return out;
 }
 
 NebulaChip::NebulaChip(const NebulaConfig &config, double variation_sigma,
                        uint64_t seed)
-    : config_(config), dac_(config.precisionBits, 0.75),
-      variationSigma_(variation_sigma), seed_(seed), mapper_(config),
+    : config_(config), variationSigma_(variation_sigma), seed_(seed),
       runSeeds_(seed ^ 0xc41bu)
 {
-    NocConfig noc_cfg;
-    noc_cfg.width = config_.meshWidth;
-    noc_cfg.height = config_.meshHeight;
-    noc_ = MeshNoc(noc_cfg);
 }
 
 void
@@ -175,7 +169,7 @@ NebulaChip::updateMappedLayer(int k,
     obs::TraceSpan span("learning", "layer.update");
     span.arg("layer", static_cast<double>(layer.map.layerIndex));
 
-    const int m = config_.atomicSize;
+    const int m = kAtomicSize;
     const int rf = layer.source->receptiveField();
     const int kernels = layer.source->numKernels();
     const int top = mappedLevels() - 1;
@@ -230,14 +224,14 @@ NebulaChip::mapWeightLayer(const Layer &layer, int index,
     mapped.weightScale = weight_scale > 0 ? weight_scale : 1.0f;
 
     CrossbarParams xp;
-    xp.levels = 1 << config_.precisionBits;
-    xp.readVoltage = mode == Mode::ANN ? 0.75 : 0.25;
+    xp.levels = mappedLevels();
+    xp.readVoltage = mode == Mode::ANN ? kAnnDriverVoltage : kSnnDriverVoltage;
     xp.variationSigma = variationSigma_;
     xp.variationSeed = seed_ + static_cast<uint64_t>(index) * 977;
     xp.spareCols = rel_.spareCols;
     xp.abft = config_.abft;
 
-    const int m = config_.atomicSize;
+    const int m = kAtomicSize;
     const Tensor &w = *layer.constParameters()[0];
 
     const int rf = layer.receptiveField();
@@ -364,8 +358,8 @@ NebulaChip::programAnn(Network &net, const QuantizationResult &quant)
                 for (auto &group : mapped.groups) {
                     NeuronUnitParams np;
                     np.count = group->cols();
-                    np.levels = 1 << config_.precisionBits;
-                    np.window = config_.cycleTime;
+                    np.levels = mappedLevels();
+                    np.window = kCycleTime;
                     auto nu = std::make_unique<ReluNeuronUnit>(np);
                     nu->calibrate(group->currentScale(), ceiling_alg);
                     mapped.nus.push_back(std::move(nu));
@@ -378,7 +372,7 @@ NebulaChip::programAnn(Network &net, const QuantizationResult &quant)
         }
         prog_.stages.push_back(std::move(stage));
     }
-    publishMappingMetrics("ann", config_, mapping_);
+    publishMappingMetrics("ann", mapping_);
 }
 
 NEBULA_TARGET_CLONES void
@@ -422,9 +416,9 @@ NebulaChip::readGroup(MappedLayer &layer, size_t g,
     const CrossbarArray &xbar = *layer.groups[g];
     CrossbarEval &eval = prog_.evalWs;
     if (window != nullptr)
-        xbar.evaluateIdealInto(*window, config_.cycleTime, eval);
+        xbar.evaluateIdealInto(*window, kCycleTime, eval);
     else
-        xbar.evaluateSparseInto(prog_.active, config_.cycleTime, eval);
+        xbar.evaluateSparseInto(prog_.active, kCycleTime, eval);
     ++stats_.crossbarEvals;
     stats_.crossbarEnergy += eval.energy;
     billCheck(stats_, eval.check);
@@ -540,7 +534,7 @@ NebulaChip::evaluateLayer(MappedLayer &layer, const Tensor &input,
                     layer.gather[dw ? g : 0].data() +
                     first * static_cast<size_t>(layer.groups[g]->rows());
                 stats_.crossbarEnergy += layer.groups[g]->evaluateIndexed(
-                    in, table, out_w, config_.cycleTime,
+                    in, table, out_w, kCycleTime,
                     prog_.currents.data(), prog_.checks.data());
                 stats_.crossbarEvals += out_w;
                 for (const CrossbarCheck &check : prog_.checks)
@@ -612,7 +606,7 @@ NebulaChip::programSnn(SpikingModel &model)
         }
         prog_.stages.push_back(std::move(stage));
     }
-    publishMappingMetrics("snn", config_, mapping_);
+    publishMappingMetrics("snn", mapping_);
 }
 
 void
@@ -630,7 +624,7 @@ const Tensor &
 NebulaChip::runStages(const Tensor &input)
 {
     const bool spiking = prog_.mode == Mode::SNN;
-    const long long bits_per_output = spiking ? 1 : config_.precisionBits;
+    const long long bits_per_output = spiking ? 1 : kPrecisionBits;
     const Tensor *x = &input;
     for (Stage &stage : prog_.stages) {
         switch (stage.kind) {

@@ -148,7 +148,7 @@ class NebulaChip
     float mappedWeightScale(int k) const;
 
     /** Conductance levels per cell (1 << precisionBits). */
-    int mappedLevels() const { return 1 << config_.precisionBits; }
+    int mappedLevels() const { return 1 << kPrecisionBits; }
 
     /**
      * Incrementally reprogram cells of mapped weight layer @p k through
@@ -170,8 +170,6 @@ class NebulaChip
 
     /** Mapping of the currently programmed network. */
     const NetworkMapping &mapping() const { return mapping_; }
-
-    const NebulaConfig &config() const { return config_; }
 
   private:
     /** One weight layer programmed onto crossbar column groups. */
@@ -302,7 +300,7 @@ class NebulaChip
     /**
      * Run the stage list once on @p input (one ANN image or one SNN
      * timestep's spikes) and return the last stage's output. NoC
-     * traffic is billed per weight stage, at precisionBits bits per
+     * traffic is billed per weight stage, at kPrecisionBits bits per
      * output in ANN mode and one spike bit in SNN mode.
      */
     const Tensor &runStages(const Tensor &input);
@@ -321,7 +319,7 @@ class NebulaChip
     void publishRun(const ChipStats &before, Mode mode) const;
 
     NebulaConfig config_;
-    DacDriver dac_; //!< ANN input drivers: precisionBits DAC at 0.75 V
+    DacDriver dac_; //!< ANN input drivers: kPrecisionBits DAC at 0.75 V
     double variationSigma_;
     uint64_t seed_;
     ReliabilityConfig rel_;

@@ -37,8 +37,7 @@ ActivityProfile::decaying(size_t layers, double front, double decay,
     return profile;
 }
 
-EnergyModel::EnergyModel(const NebulaConfig &config)
-    : config_(config), db_(componentDb())
+EnergyModel::EnergyModel() : db_(componentDb())
 {
 }
 
@@ -46,12 +45,14 @@ namespace {
 
 /** Average NoC hop distance assumed for bulk traffic accounting. */
 constexpr double kAvgHops = 2.0;
-/** NoC energy per flit per hop (32-bit flits, 32 nm). */
-constexpr double kNocFlitHopEnergy = 0.15e-12;
+
+/** One driver of a core's bank (the Table III row covers 16 x 128). */
+constexpr int kDriversPerCore = kCrossbarsPerCore * kAtomicSize;
+
 double
 nocEnergyForBits(double bits)
 {
-    return bits / 32.0 * kAvgHops * kNocFlitHopEnergy;
+    return bits / kFlitBits * kAvgHops * kFlitHopEnergy;
 }
 
 } // namespace
@@ -63,35 +64,32 @@ EnergyModel::layerActivePower(const LayerMapping &layer, Mode mode,
     const double alpha = std::clamp(input_activity, 0.0, 1.0);
 
     // Leakage of the cores the layer occupies.
-    double power = layer.coresNeeded * (mode == Mode::ANN
-                                            ? config_.annCoreLeakage
-                                            : config_.snnCoreLeakage);
+    double power = layer.coresNeeded *
+                   (mode == Mode::ANN ? kAnnCoreLeakage : kSnnCoreLeakage);
 
     // Drivers: one per active row.
     const double driver_unit =
         (mode == Mode::ANN ? db_.annDacPower() : db_.snnDriverPower()) /
-        (16.0 * 128.0);
+        kDriversPerCore;
     power += driver_unit * static_cast<double>(layer.dacRowsPerEval) * alpha;
 
     // Crossbar read power scales with programmed-cell utilization and
     // input activity.
-    const double xbar_unit = db_.crossbarPower(mode) / 16.0;
+    const double xbar_unit = db_.crossbarPower(mode) / kCrossbarsPerCore;
     power += xbar_unit * static_cast<double>(layer.acsNeeded) *
              layer.utilization * alpha;
 
     // Neuron units: one NU row of 128 neurons per active column group.
-    const double nu_row = db_.neuronUnitPower() / 23.0;
+    const double nu_row = db_.neuronUnitPower() / kNeuronUnitRows;
     power += nu_row * static_cast<double>(layer.columnGroups);
 
     // Buffer/eDRAM bandwidth power at this activity level.
     const double bits_per_eval =
         (mode == Mode::ANN)
             ? (static_cast<double>(layer.rf) + layer.kernels) *
-                  config_.precisionBits
+                  kPrecisionBits
             : (static_cast<double>(layer.rf) + layer.kernels) * alpha;
-    power += bits_per_eval *
-             (config_.sramBitEnergy + config_.edramBitEnergy) /
-             config_.cycleTime;
+    power += bits_per_eval * (kSramBitEnergy + kEdramBitEnergy) / kCycleTime;
 
     // Per-core ADC is powered only when partial sums leave the core.
     if (layer.needsAdc)
@@ -105,7 +103,6 @@ EnergyModel::evaluateLayer(const LayerMapping &layer, Mode mode,
                            double input_activity, int timesteps) const
 {
     const double alpha = std::clamp(input_activity, 0.0, 1.0);
-    const double t_cycle = config_.cycleTime;
 
     LayerEnergy out;
     out.layerIndex = layer.layerIndex;
@@ -130,14 +127,14 @@ EnergyModel::evaluateLayer(const LayerMapping &layer, Mode mode,
 
     const double driver_unit =
         (mode == Mode::ANN ? db_.annDacPower() : db_.snnDriverPower()) /
-        (16.0 * 128.0);
+        kDriversPerCore;
     const double driver_energy = driver_unit * layer.dacRowsPerEval * alpha *
-                                 active_cycles * t_cycle;
+                                 active_cycles * kCycleTime;
     const double xbar_energy =
-        (db_.crossbarPower(mode) / 16.0) * layer.acsNeeded *
-        layer.utilization * alpha * active_cycles * t_cycle;
-    const double nu_energy = db_.neuronUnitPower() / 23.0 *
-                             layer.columnGroups * active_cycles * t_cycle;
+        (db_.crossbarPower(mode) / kCrossbarsPerCore) * layer.acsNeeded *
+        layer.utilization * alpha * active_cycles * kCycleTime;
+    const double nu_energy = db_.neuronUnitPower() / kNeuronUnitRows *
+                             layer.columnGroups * active_cycles * kCycleTime;
 
     // Buffers and eDRAM: per-access energy. ANN moves Rf 4-bit inputs
     // in and `kernels` 4-bit outputs out per evaluation; SNN moves only
@@ -146,7 +143,7 @@ EnergyModel::evaluateLayer(const LayerMapping &layer, Mode mode,
     const double bits_per_eval =
         (mode == Mode::ANN)
             ? (static_cast<double>(layer.rf) + layer.kernels) *
-                  config_.precisionBits
+                  kPrecisionBits
             : (static_cast<double>(layer.rf) + layer.kernels) * alpha;
     // Spilled kernels (Rf > 16M) stage their digitized partial sums
     // through eDRAM and the RU reduction tree: extra occupancy cycles
@@ -156,29 +153,28 @@ EnergyModel::evaluateLayer(const LayerMapping &layer, Mode mode,
         layer.needsAdc ? static_cast<double>(out.cycles) : 0.0;
     const double partial_sum_bits =
         static_cast<double>(layer.adcConversions) * passes *
-        config_.precisionBits * 2.0;
+        kPrecisionBits * 2.0;
 
     const double leakage =
-        (mode == Mode::ANN ? config_.annCoreLeakage
-                           : config_.snnCoreLeakage) *
+        (mode == Mode::ANN ? kAnnCoreLeakage : kSnnCoreLeakage) *
         layer.coresNeeded *
-        (static_cast<double>(out.cycles) + reduction_cycles) * t_cycle;
+        (static_cast<double>(out.cycles) + reduction_cycles) * kCycleTime;
     const double sram_energy =
-        bits_per_eval * config_.sramBitEnergy * active_cycles +
+        bits_per_eval * kSramBitEnergy * active_cycles +
         0.4 * leakage;
     const double edram_energy =
-        bits_per_eval * config_.edramBitEnergy * active_cycles +
-        partial_sum_bits * config_.edramBitEnergy + 0.6 * leakage;
+        bits_per_eval * kEdramBitEnergy * active_cycles +
+        partial_sum_bits * kEdramBitEnergy + 0.6 * leakage;
 
     // ADC + RU reduction (per pass; SNN repeats every timestep).
-    const double adc_conversion = db_.adcPower() / db_.digitalClock();
+    const double adc_conversion = db_.adcPower() / kDigitalClock;
     double adc_energy = layer.adcConversions * passes * adc_conversion;
     if (layer.needsAdc)
         adc_energy += db_.adcPower() * layer.coresNeeded * active_cycles *
-                      t_cycle;
-    const double ru_energy = layer.ruAdditions * passes *
-                             (db_.accumulatorAdderPower() / 1024.0) /
-                             db_.digitalClock();
+                      kCycleTime;
+    const double ru_energy =
+        layer.ruAdditions * passes *
+        (db_.accumulatorAdderPower() / kAccumulatorLanes) / kDigitalClock;
 
     // NoC: output activations (4-bit each; binary spikes in SNN mode)
     // plus digitized partial sums.
@@ -188,10 +184,10 @@ EnergyModel::evaluateLayer(const LayerMapping &layer, Mode mode,
                        passes; // 1-bit spikes
     } else {
         traffic_bits = static_cast<double>(layer.outputElements) *
-                       config_.precisionBits;
+                       kPrecisionBits;
     }
     traffic_bits += static_cast<double>(layer.adcConversions) * passes *
-                    config_.precisionBits;
+                    kPrecisionBits;
     const double noc_energy = nocEnergyForBits(traffic_bits);
 
     out.byComponent["driver/dac"] = driver_energy;
@@ -217,7 +213,7 @@ EnergyModel::evaluateLayer(const LayerMapping &layer, Mode mode,
 namespace {
 
 InferenceEnergy
-finalize(std::vector<LayerEnergy> layers, double cycle_time)
+finalize(std::vector<LayerEnergy> layers)
 {
     InferenceEnergy out;
     long long cycles = 0;
@@ -228,7 +224,7 @@ finalize(std::vector<LayerEnergy> layers, double cycle_time)
         for (const auto &kv : layer.byComponent)
             out.byComponent[kv.first] += kv.second;
     }
-    out.latency = static_cast<double>(cycles) * cycle_time;
+    out.latency = static_cast<double>(cycles) * kCycleTime;
     out.avgPower = out.latency > 0 ? out.totalEnergy / out.latency : 0.0;
     out.layers = std::move(layers);
     return out;
@@ -248,7 +244,7 @@ EnergyModel::evaluateAnn(const NetworkMapping &mapping,
     for (size_t i = 0; i < mapping.layers.size(); ++i)
         layers.push_back(evaluateLayer(mapping.layers[i], Mode::ANN,
                                        activity.inputActivity[i], 1));
-    return finalize(std::move(layers), config_.cycleTime);
+    return finalize(std::move(layers));
 }
 
 InferenceEnergy
@@ -264,7 +260,7 @@ EnergyModel::evaluateSnn(const NetworkMapping &mapping,
         layers.push_back(evaluateLayer(mapping.layers[i], Mode::SNN,
                                        activity.inputActivity[i],
                                        timesteps));
-    return finalize(std::move(layers), config_.cycleTime);
+    return finalize(std::move(layers));
 }
 
 InferenceEnergy
@@ -288,19 +284,20 @@ EnergyModel::evaluateHybrid(const NetworkMapping &mapping,
     // plus register static power over the accumulation window.
     const double per_add = (db_.accumulatorAdderPower() +
                             db_.accumulatorRegisterPower()) /
-                           1024.0 / db_.digitalClock();
+                           kAccumulatorLanes / kDigitalClock;
     LayerEnergy au;
     au.layerIndex = -2;
     au.name = "accumulator-unit";
     au.energy = boundary_spikes * per_add +
-                (static_cast<double>(boundary_neurons) / 1024.0) *
-                    db_.accumulatorPower() * timesteps * config_.cycleTime;
+                (static_cast<double>(boundary_neurons) / kAccumulatorLanes) *
+                    db_.accumulatorPower() * timesteps * kCycleTime;
     au.byComponent["accumulator"] = au.energy;
     au.peakPower = db_.accumulatorPower() *
-                   std::ceil(static_cast<double>(boundary_neurons) / 1024.0);
+                   std::ceil(static_cast<double>(boundary_neurons) /
+                             kAccumulatorLanes);
     layers.push_back(au);
 
-    return finalize(std::move(layers), config_.cycleTime);
+    return finalize(std::move(layers));
 }
 
 } // namespace nebula

@@ -80,7 +80,7 @@ struct ActivityProfile
 class EnergyModel
 {
   public:
-    explicit EnergyModel(const NebulaConfig &config = {});
+    EnergyModel();
 
     /** ANN-mode accounting for a mapped network. */
     InferenceEnergy evaluateAnn(const NetworkMapping &mapping,
@@ -112,13 +112,10 @@ class EnergyModel
     double layerActivePower(const LayerMapping &layer, Mode mode,
                             double input_activity) const;
 
-    const NebulaConfig &config() const { return config_; }
-
   private:
     LayerEnergy evaluateLayer(const LayerMapping &layer, Mode mode,
                               double input_activity, int timesteps) const;
 
-    NebulaConfig config_;
     const ComponentDb &db_;
 };
 

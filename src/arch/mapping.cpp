@@ -25,15 +25,6 @@ NetworkMapping::totalAcs() const
     return total;
 }
 
-long long
-NetworkMapping::totalSpareColumns() const
-{
-    long long total = 0;
-    for (const auto &m : layers)
-        total += m.spareColumns;
-    return total;
-}
-
 bool
 NetworkMapping::anyAdc() const
 {
@@ -43,9 +34,7 @@ NetworkMapping::anyAdc() const
     return false;
 }
 
-LayerMapper::LayerMapper(const NebulaConfig &config,
-                         const MapperOptions &options)
-    : config_(config), options_(options)
+LayerMapper::LayerMapper(const MapperOptions &options) : options_(options)
 {
 }
 
@@ -53,8 +42,8 @@ LayerMapping
 LayerMapper::mapLayer(const Layer &layer, int index) const
 {
     NEBULA_ASSERT(layer.isWeightLayer(), "can only map weight layers");
-    const int m = config_.atomicSize;
-    const int max_rf = config_.maxInCoreRf();
+    const int m = kAtomicSize;
+    const int max_rf = kMaxInCoreRf;
 
     LayerMapping out;
     out.layerIndex = index;
@@ -87,7 +76,7 @@ LayerMapper::mapLayer(const Layer &layer, int index) const
         while (chain * m < out.rf)
             chain *= 2;
         if (!options_.morphableTiles)
-            chain = config_.acsPerCore(); // rigid full-super-tile kernels
+            chain = kCrossbarsPerCore; // rigid full-super-tile kernels
         out.chain = chain;
         out.hierarchyLevel = chain <= 1 ? 0 : (chain <= 4 ? 1 : 2);
         out.columnGroups = (out.kernels + m - 1) / m;
@@ -110,7 +99,7 @@ LayerMapper::mapLayer(const Layer &layer, int index) const
         // 16M-row slice, digitizes its partial sums (4-bit ADC) and the
         // RU tree reduces them (paper Fig. 8, dashed stages).
         out.coreSplit = (out.rf + max_rf - 1) / max_rf;
-        out.chain = config_.acsPerCore();
+        out.chain = kCrossbarsPerCore;
         out.hierarchyLevel = 2;
         out.needsAdc = true;
         out.columnGroups = (out.kernels + m - 1) / m;
@@ -128,14 +117,9 @@ LayerMapper::mapLayer(const Layer &layer, int index) const
     }
 
     out.coresNeeded =
-        (out.acsNeeded + config_.acsPerCore() - 1) / config_.acsPerCore();
-    out.spareColumns = out.acsNeeded * config_.spareColsPerAc;
-    // Spare columns are allocated area a defect-free array never uses,
-    // so they dilute utilization when provisioned.
-    out.utilization =
-        static_cast<double>(out.rf) * out.kernels /
-        (static_cast<double>(out.acsNeeded) * m *
-         (m + config_.spareColsPerAc));
+        (out.acsNeeded + kCrossbarsPerCore - 1) / kCrossbarsPerCore;
+    out.utilization = static_cast<double>(out.rf) * out.kernels /
+                      (static_cast<double>(out.acsNeeded) * m * m);
     NEBULA_ASSERT(out.utilization <= 1.0 + 1e-9, "utilization > 1 for ",
                   out.name);
     return out;

@@ -45,9 +45,7 @@ struct LayerMapping
     long long columnGroups = 1;   //!< independent kernel groups of <= M
     long long acsNeeded = 1;      //!< atomic crossbars holding weights
     long long coresNeeded = 1;    //!< neural cores allocated
-    long long spareColumns = 0;   //!< repair spares provisioned (all ACs)
     double utilization = 0.0;     //!< programmed cells / allocated cells
-                                  //!< (spare columns count as allocated)
 
     long long dacRowsPerEval = 0; //!< drivers active per evaluation
     long long adcConversions = 0; //!< per image
@@ -62,7 +60,6 @@ struct NetworkMapping
 
     long long totalCores() const;
     long long totalAcs() const;
-    long long totalSpareColumns() const;
     bool anyAdc() const;
 };
 
@@ -87,8 +84,7 @@ struct MapperOptions
 class LayerMapper
 {
   public:
-    explicit LayerMapper(const NebulaConfig &config = {},
-                         const MapperOptions &options = {});
+    explicit LayerMapper(const MapperOptions &options = {});
 
     /**
      * Map every weight layer of @p net. The network must have been run
@@ -99,11 +95,7 @@ class LayerMapper
     /** Map a single layer (exposed for tests and ablations). */
     LayerMapping mapLayer(const Layer &layer, int index) const;
 
-    const NebulaConfig &config() const { return config_; }
-    const MapperOptions &options() const { return options_; }
-
   private:
-    NebulaConfig config_;
     MapperOptions options_;
 };
 

@@ -7,10 +7,6 @@
 
 namespace nebula {
 
-PipelineModel::PipelineModel(const NebulaConfig &config) : config_(config)
-{
-}
-
 int
 PipelineModel::stagesFor(const LayerMapping &layer) const
 {
@@ -48,7 +44,7 @@ PipelineModel::networkLatency(const NetworkMapping &mapping,
 {
     NEBULA_ASSERT(timesteps >= 1, "bad timestep count");
     return static_cast<double>(networkLatencyCycles(mapping)) * timesteps *
-           config_.cycleTime;
+           kCycleTime;
 }
 
 double
@@ -59,7 +55,7 @@ PipelineModel::throughput(const NetworkMapping &mapping,
     for (const auto &layer : mapping.layers)
         slowest = std::max(slowest, layerLatencyCycles(layer));
     const double seconds =
-        static_cast<double>(slowest) * timesteps * config_.cycleTime;
+        static_cast<double>(slowest) * timesteps * kCycleTime;
     return seconds > 0 ? 1.0 / seconds : 0.0;
 }
 
@@ -81,7 +77,7 @@ PipelineModel::batchedThroughput(const NetworkMapping &mapping, int batch,
     for (const auto &layer : mapping.layers)
         slowest = std::max(slowest, layerBatchLatencyCycles(layer, batch));
     const double seconds =
-        static_cast<double>(slowest) * timesteps * config_.cycleTime;
+        static_cast<double>(slowest) * timesteps * kCycleTime;
     return seconds > 0 ? batch / seconds : 0.0;
 }
 

@@ -18,8 +18,6 @@ namespace nebula {
 class PipelineModel
 {
   public:
-    explicit PipelineModel(const NebulaConfig &config = {});
-
     /** Pipeline depth (stages) for one layer's evaluations. */
     int stagesFor(const LayerMapping &layer) const;
 
@@ -61,11 +59,6 @@ class PipelineModel
      */
     double batchedThroughput(const NetworkMapping &mapping, int batch,
                              int timesteps = 1) const;
-
-    const NebulaConfig &config() const { return config_; }
-
-  private:
-    NebulaConfig config_;
 };
 
 } // namespace nebula

@@ -8,14 +8,10 @@
 
 namespace nebula {
 
-ChipPlacer::ChipPlacer(const NebulaConfig &config) : config_(config)
-{
-}
-
 int
 ChipPlacer::coreBudget(Mode mode) const
 {
-    return mode == Mode::ANN ? config_.annCores : config_.snnCores;
+    return mode == Mode::ANN ? kAnnCores : kSnnCores;
 }
 
 NodeId
@@ -25,11 +21,11 @@ ChipPlacer::coreLocation(int index, Mode mode) const
     if (mode == Mode::ANN) {
         // The ANN cores occupy the first column (paper Fig. 6b shows
         // the A-cores along one edge of the mesh).
-        return {0, index % config_.meshHeight};
+        return {0, index % kMeshHeight};
     }
     // SNN cores fill the remaining columns row-major.
-    const int snn_columns = config_.meshWidth - 1;
-    const int wrapped = index % (snn_columns * config_.meshHeight);
+    const int snn_columns = kMeshWidth - 1;
+    const int wrapped = index % (snn_columns * kMeshHeight);
     return {1 + wrapped % snn_columns, wrapped / snn_columns};
 }
 
@@ -52,7 +48,6 @@ ChipPlacer::place(const NetworkMapping &mapping, Mode mode) const
             used.insert({node.x, node.y});
             ++next_core;
         }
-        result.spareColumns += layer.spareColumns;
         result.layers.push_back(std::move(placement));
     }
     result.coresUsed = static_cast<long long>(used.size());
@@ -95,7 +90,8 @@ simulateInferenceTraffic(const NetworkMapping &mapping,
                 bits = static_cast<double>(src_layer.outputElements) *
                        std::clamp(activity.inputActivity[l + 1], 0.0, 1.0);
             } else {
-                bits = static_cast<double>(src_layer.outputElements) * 4;
+                bits = static_cast<double>(src_layer.outputElements) *
+                       kPrecisionBits;
             }
             // Stripe outputs over producers; every consumer needs the
             // full map (windows overlap), so each producer multicasts
@@ -120,7 +116,7 @@ simulateInferenceTraffic(const NetworkMapping &mapping,
             // layer's first core, which hosts the reduction RU.
             if (src_layer.needsAdc && producers.size() > 1) {
                 const double partial_bits =
-                    static_cast<double>(src_layer.kernels) * 4;
+                    static_cast<double>(src_layer.kernels) * kPrecisionBits;
                 for (size_t p = 1; p < producers.size(); ++p) {
                     Packet packet;
                     packet.id = packet_id++;

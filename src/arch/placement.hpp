@@ -31,7 +31,6 @@ struct PlacementResult
 {
     std::vector<LayerPlacement> layers;
     long long coresUsed = 0;   //!< distinct physical cores touched
-    long long spareColumns = 0; //!< repair spares across placed layers
     bool fits = false;         //!< true if no core is time-multiplexed
     Mode mode = Mode::SNN;
 };
@@ -51,8 +50,6 @@ struct TrafficStats
 class ChipPlacer
 {
   public:
-    explicit ChipPlacer(const NebulaConfig &config = {});
-
     /**
      * Assign cores to every layer, in layer order. ANN-mode layers use
      * the dedicated ANN column (x == 0); SNN-mode layers use the
@@ -67,11 +64,6 @@ class ChipPlacer
 
     /** Number of physical cores available to a mode. */
     int coreBudget(Mode mode) const;
-
-    const NebulaConfig &config() const { return config_; }
-
-  private:
-    NebulaConfig config_;
 };
 
 /**

@@ -4,12 +4,36 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "common/units.hpp"
 
 namespace nebula {
 
-InxsModel::InxsModel(const InxsConfig &config) : config_(config)
-{
-}
+namespace {
+
+constexpr double kInxsCycleTime = 100 * units::ns;
+
+/** 8-bit ADC conversion of one membrane increment. */
+constexpr double kAdcConversionEnergy = 2.0 * units::pJ;
+
+/** NoC transfer of one digitized increment to its neuron unit. */
+constexpr double kNocTransferEnergy = 50.0 * units::pJ;
+
+/** Membrane-potential SRAM read / write (large central arrays). */
+constexpr double kSramReadEnergy = 75.0 * units::pJ;
+constexpr double kSramWriteEnergy = 75.0 * units::pJ;
+
+/** Digital accumulate + threshold compare. */
+constexpr double kAddCompareEnergy = 0.3 * units::pJ;
+
+/** Crossbar read energy per active cell per evaluation. */
+constexpr double kCellReadEnergy = 0.002 * units::pJ;
+
+/** Per-crossbar peripheral power while a layer evaluates. */
+constexpr double kCrossbarPeripheryPower = 1.0 * units::mW;
+
+constexpr int kCrossbarSize = 128;
+
+} // namespace
 
 InxsLayerEnergy
 InxsModel::evaluateLayer(const LayerMapping &layer, double input_activity,
@@ -29,29 +53,26 @@ InxsModel::evaluateLayer(const LayerMapping &layer, double input_activity,
     // and merged into the SRAM-resident membrane.
     out.neuronUpdates = neurons * timesteps;
     out.adcEnergy = static_cast<double>(out.neuronUpdates) *
-                    config_.adcConversionEnergy;
+                    kAdcConversionEnergy;
     out.membraneEnergy =
         static_cast<double>(out.neuronUpdates) *
-        (config_.sramReadEnergy + config_.sramWriteEnergy +
-         config_.addCompareEnergy);
+        (kSramReadEnergy + kSramWriteEnergy + kAddCompareEnergy);
     const double noc_energy = static_cast<double>(out.neuronUpdates) *
-                              config_.nocTransferEnergy;
+                              kNocTransferEnergy;
 
     // Crossbar evaluations: positions per timestep; read energy scales
     // with active cells.
     const double cells =
         static_cast<double>(layer.rf) * layer.kernels;
-    const double xbar_energy = cells * alpha * config_.cellReadEnergy *
+    const double xbar_energy = cells * alpha * kCellReadEnergy *
                                static_cast<double>(layer.positions) *
                                timesteps;
     const long long crossbars =
-        ((layer.rf + config_.crossbarSize - 1) / config_.crossbarSize) *
-        ((layer.kernels + config_.crossbarSize - 1) /
-         config_.crossbarSize);
+        ((layer.rf + kCrossbarSize - 1) / kCrossbarSize) *
+        ((layer.kernels + kCrossbarSize - 1) / kCrossbarSize);
     const double periphery_energy =
-        static_cast<double>(crossbars) * config_.crossbarPeripheryPower *
-        static_cast<double>(layer.positions) * timesteps *
-        config_.cycleTime;
+        static_cast<double>(crossbars) * kCrossbarPeripheryPower *
+        static_cast<double>(layer.positions) * timesteps * kInxsCycleTime;
 
     out.energy = out.adcEnergy + out.membraneEnergy + noc_energy +
                  xbar_energy + periphery_energy;

@@ -17,44 +17,15 @@
  * per-op energy table, so the per-event energies below are
  * reconstructed from typical 32 nm figures for the named structures
  * (8-bit SAR ADC conversion, multi-megabit SRAM membrane store, mesh
- * hop energy). They are exposed as configuration for sensitivity
- * studies.
+ * hop energy); they are fixed constants of inxs.cpp.
  */
 
 #ifndef NEBULA_BASELINES_INXS_HPP
 #define NEBULA_BASELINES_INXS_HPP
 
 #include "arch/mapping.hpp"
-#include "common/units.hpp"
 
 namespace nebula {
-
-/** INXS configuration. */
-struct InxsConfig
-{
-    double cycleTime = 100 * units::ns;
-
-    /** 8-bit ADC conversion of one membrane increment. */
-    double adcConversionEnergy = 2.0 * units::pJ;
-
-    /** NoC transfer of one digitized increment to its neuron unit. */
-    double nocTransferEnergy = 50.0 * units::pJ;
-
-    /** Membrane-potential SRAM read / write (large central arrays). */
-    double sramReadEnergy = 75.0 * units::pJ;
-    double sramWriteEnergy = 75.0 * units::pJ;
-
-    /** Digital accumulate + threshold compare. */
-    double addCompareEnergy = 0.3 * units::pJ;
-
-    /** Crossbar read energy per active cell per evaluation. */
-    double cellReadEnergy = 0.002 * units::pJ;
-
-    /** Per-crossbar peripheral power while a layer evaluates. */
-    double crossbarPeripheryPower = 1.0 * units::mW;
-
-    int crossbarSize = 128;
-};
 
 /** Per-layer INXS result. */
 struct InxsLayerEnergy
@@ -78,8 +49,6 @@ struct InxsEnergy
 class InxsModel
 {
   public:
-    explicit InxsModel(const InxsConfig &config = {});
-
     /**
      * Energy of running a mapped network for @p timesteps.
      * @param activity Per-layer input spike activity (same profile the
@@ -93,11 +62,6 @@ class InxsModel
     InxsLayerEnergy evaluateLayer(const LayerMapping &layer,
                                   double input_activity,
                                   int timesteps) const;
-
-    const InxsConfig &config() const { return config_; }
-
-  private:
-    InxsConfig config_;
 };
 
 } // namespace nebula

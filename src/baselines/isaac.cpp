@@ -7,6 +7,24 @@
 
 namespace nebula {
 
+namespace {
+
+constexpr int kCrossbarSize = 128; //!< rows == cols
+constexpr int kCrossbarsPerIma = 8;
+constexpr int kBitsPerCell = 2;
+constexpr double kIsaacCycleTime = 100 * units::ns;
+
+/** Fraction of IMA power that is input-activity-dependent. */
+constexpr double kDynamicFraction = 0.55;
+
+} // namespace
+
+int
+IsaacConfig::weightSlices() const
+{
+    return weightBits / kBitsPerCell;
+}
+
 IsaacConfig
 IsaacConfig::original16bit()
 {
@@ -25,14 +43,14 @@ IsaacConfig::original16bit()
 
 IsaacModel::IsaacModel(const IsaacConfig &config) : config_(config)
 {
-    NEBULA_ASSERT(config_.weightBits % config_.bitsPerCell == 0,
+    NEBULA_ASSERT(config_.weightBits % kBitsPerCell == 0,
                   "weight bits must be a multiple of cell bits");
 }
 
 long long
 IsaacModel::crossbarsFor(const LayerMapping &layer) const
 {
-    const int m = config_.crossbarSize;
+    const int m = kCrossbarSize;
     if (layer.kind == LayerKind::DwConv && layer.rf <= m) {
         // Depthwise kernels read disjoint channels, so kernels sharing a
         // crossbar must be packed diagonally: each kernel occupies its
@@ -60,22 +78,19 @@ IsaacModel::evaluateLayer(const LayerMapping &layer,
     out.layerIndex = layer.layerIndex;
     out.name = layer.name;
     out.crossbars = crossbarsFor(layer);
-    out.imas = (out.crossbars + config_.crossbarsPerIma - 1) /
-               config_.crossbarsPerIma;
+    out.imas = (out.crossbars + kCrossbarsPerIma - 1) / kCrossbarsPerIma;
     out.cycles = layer.positions * config_.inputBits;
 
     // Active power at crossbar granularity: each active crossbar brings
     // its ADC sweep, DAC rows and S&A share. The ADC/digital slice runs
     // every cycle regardless of utilization; the crossbar-read and DAC
     // shares scale with input activity.
-    const double p_xbar =
-        config_.imaActivePower / config_.crossbarsPerIma;
-    const double scale =
-        (1.0 - config_.dynamicFraction) + config_.dynamicFraction * alpha;
+    const double p_xbar = config_.imaActivePower / kCrossbarsPerIma;
+    const double scale = (1.0 - kDynamicFraction) + kDynamicFraction * alpha;
     const double power = static_cast<double>(out.crossbars) * p_xbar * scale;
 
-    out.energy = power * static_cast<double>(out.cycles) *
-                 config_.cycleTime;
+    out.energy =
+        power * static_cast<double>(out.cycles) * kIsaacCycleTime;
     out.adcEnergy = out.energy * config_.adcShare /
                     (config_.adcShare + config_.dacShare +
                      config_.crossbarShare + config_.digitalShare +
@@ -94,7 +109,7 @@ IsaacModel::evaluate(const NetworkMapping &mapping,
         out.totalEnergy += out.layers.back().energy;
         cycles += out.layers.back().cycles;
     }
-    out.latency = static_cast<double>(cycles) * config_.cycleTime;
+    out.latency = static_cast<double>(cycles) * kIsaacCycleTime;
     return out;
 }
 

@@ -27,15 +27,15 @@
 
 namespace nebula {
 
-/** ISAAC configuration (defaults: the 4-bit adapted variant). */
+/**
+ * ISAAC configuration (defaults: the 4-bit adapted variant). Only what
+ * distinguishes the two variants is configurable; the fabric (128 x 128
+ * crossbars of 2-bit cells, 8 per IMA, 100 ns cycle) is fixed.
+ */
 struct IsaacConfig
 {
-    int crossbarSize = 128;       //!< rows == cols
-    int crossbarsPerIma = 8;
-    int bitsPerCell = 2;
     int weightBits = 4;           //!< 16 in original ISAAC
     int inputBits = 4;            //!< bit-serial cycles per position
-    double cycleTime = 100 * units::ns;
 
     /**
      * Active power of one IMA (crossbars + 8 ADCs + DACs + S&A + IR/OR)
@@ -45,9 +45,6 @@ struct IsaacConfig
      * (8-bit -> 4-bit conversions), leaving ~31 mW.
      */
     double imaActivePower = 45 * units::mW;
-
-    /** Fraction of IMA power that is input-activity-dependent. */
-    double dynamicFraction = 0.55;
 
     /** Component shares of the IMA budget (for breakdown reporting). */
     double adcShare = 0.45;   //!< after 4-bit scaling
@@ -60,7 +57,7 @@ struct IsaacConfig
     static IsaacConfig original16bit();
 
     /** Weight slices (adjacent columns) per logical weight. */
-    int weightSlices() const { return weightBits / bitsPerCell; }
+    int weightSlices() const;
 };
 
 /** Per-layer ISAAC energy result. */
@@ -105,8 +102,6 @@ class IsaacModel
 
     /** Crossbars required to hold one layer's weights. */
     long long crossbarsFor(const LayerMapping &layer) const;
-
-    const IsaacConfig &config() const { return config_; }
 
   private:
     IsaacConfig config_;

@@ -4,66 +4,56 @@
 
 namespace nebula {
 
-const char *
-modeName(Mode mode)
-{
-    return mode == Mode::ANN ? "ANN" : "SNN";
-}
-
 ComponentDb::ComponentDb()
 {
     using namespace units;
-    auto add = [&](const std::string &name, const std::string &scope,
-                   long long count, double power_w, double area_mm2) {
+    // Rows are appended in Row order; the assert keeps the two in step.
+    auto add = [&](Row row, const std::string &name,
+                   const std::string &scope, long long count,
+                   double power_w, double area_mm2) {
+        NEBULA_ASSERT(rows_.size() == static_cast<size_t>(row),
+                      "Table III row out of order: ", name);
         rows_.push_back({name, scope, count, power_w, area_mm2});
     };
+    const long long drivers = kCrossbarsPerCore * kAtomicSize;
 
     // Neural core level (per NC).
-    add("eDRAM 32KB", "core", 1, 9.55 * mW, 0.02523);
-    add("ADC 4-bit", "core", 1, 0.43 * mW, 0.005);
-    add("ANN Super-Tile 128KB", "core", 1, 98.87 * mW, 0.4247);
-    add("SNN Super-Tile 128KB", "core", 1, 8.46 * mW, 0.3822);
-    add("ANN Input Buffer 16KB", "core", 1, 4.36 * mW, 0.06462);
-    add("SNN Input Buffer 4KB", "core", 1, 1.08 * mW, 0.01615);
-    add("ANN Output Buffer 2KB", "core", 1, 0.545 * mW, 0.00808);
-    add("SNN Output Buffer 0.5KB", "core", 1, 0.136 * mW, 0.00202);
+    add(Edram, "eDRAM 32KB", "core", 1, 9.55 * mW, 0.02523);
+    add(Adc, "ADC 4-bit", "core", 1, 0.43 * mW, 0.005);
+    add(AnnSuperTile, "ANN Super-Tile 128KB", "core", 1, 98.87 * mW, 0.4247);
+    add(SnnSuperTile, "SNN Super-Tile 128KB", "core", 1, 8.46 * mW, 0.3822);
+    add(AnnInputBuffer, "ANN Input Buffer 16KB", "core", 1, 4.36 * mW,
+        0.06462);
+    add(SnnInputBuffer, "SNN Input Buffer 4KB", "core", 1, 1.08 * mW,
+        0.01615);
+    add(AnnOutputBuffer, "ANN Output Buffer 2KB", "core", 1, 0.545 * mW,
+        0.00808);
+    add(SnnOutputBuffer, "SNN Output Buffer 0.5KB", "core", 1, 0.136 * mW,
+        0.00202);
 
     // Super-tile internals (all instances within one NC).
-    add("ANN DAC 16x128 0.75V 4-bit", "supertile", 16 * 128, 26.56 * mW,
-        0.04848);
-    add("ANN Crossbar 16x 128x128 4b", "supertile", 16, 72.16 * mW, 0.376);
-    add("SNN Driver 16x128 0.25V 1-bit", "supertile", 16 * 128, 0.904 * mW,
-        0.00606);
-    add("SNN Crossbar 16x 128x128 4b", "supertile", 16, 7.4 * mW, 0.376);
-    add("Neuron Unit 23x128", "supertile", 23 * 128, 0.151 * mW, 0.000189);
+    add(AnnDac, "ANN DAC 16x128 0.75V 4-bit", "supertile", drivers,
+        26.56 * mW, 0.04848);
+    add(AnnCrossbar, "ANN Crossbar 16x 128x128 4b", "supertile",
+        kCrossbarsPerCore, 72.16 * mW, 0.376);
+    add(SnnDriver, "SNN Driver 16x128 0.25V 1-bit", "supertile", drivers,
+        0.904 * mW, 0.00606);
+    add(SnnCrossbar, "SNN Crossbar 16x 128x128 4b", "supertile",
+        kCrossbarsPerCore, 7.4 * mW, 0.376);
+    add(NeuronUnit, "Neuron Unit 23x128", "supertile",
+        kNeuronUnitRows * kAtomicSize, 0.151 * mW, 0.000189);
 
     // Digital accumulator unit.
-    add("AU Adder 1024x 8-bit", "accumulator", 1024, 0.355 * mW, 0.00588);
-    add("AU Register 1024x 16-bit", "accumulator", 1024, 0.545 * mW,
-        0.00808);
+    add(AuAdder, "AU Adder 1024x 8-bit", "accumulator", kAccumulatorLanes,
+        0.355 * mW, 0.00588);
+    add(AuRegister, "AU Register 1024x 16-bit", "accumulator",
+        kAccumulatorLanes, 0.545 * mW, 0.00808);
 
     // Chip level.
-    add("ANN Cores", "chip", 14, 1.593, 7.392);
-    add("SNN Cores", "chip", 14 * 13, 3.578, 78.4);
-    add("Accumulators", "chip", 14, 12.6 * mW, 0.937);
-}
-
-double
-ComponentDb::superTilePower(Mode mode) const
-{
-    return mode == Mode::ANN ? 98.87 * units::mW : 8.46 * units::mW;
-}
-
-double
-ComponentDb::inputBufferPower(Mode mode) const
-{
-    return mode == Mode::ANN ? 4.36 * units::mW : 1.08 * units::mW;
-}
-
-double
-ComponentDb::outputBufferPower(Mode mode) const
-{
-    return mode == Mode::ANN ? 0.545 * units::mW : 0.136 * units::mW;
+    add(AnnCoreRow, "ANN Cores", "chip", kAnnCores, 1.593, 7.392);
+    add(SnnCoreRow, "SNN Cores", "chip", kSnnCores, 3.578, 78.4);
+    add(Accumulators, "Accumulators", "chip", 14, 12.6 * mW, 0.937);
+    NEBULA_ASSERT(rows_.size() == kRowCount, "Table III is missing rows");
 }
 
 double
@@ -73,12 +63,6 @@ ComponentDb::corePower(Mode mode) const
     // the sums of the constituent rows.
     return edramPower() + adcPower() + superTilePower(mode) +
            inputBufferPower(mode) + outputBufferPower(mode);
-}
-
-double
-ComponentDb::crossbarPower(Mode mode) const
-{
-    return mode == Mode::ANN ? 72.16 * units::mW : 7.4 * units::mW;
 }
 
 Table

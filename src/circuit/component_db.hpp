@@ -1,9 +1,10 @@
 /**
  * @file
  * Component power/area database transcribed from the paper's Table III
- * ("Component Specifications for NEBULA"). Every architectural energy and
- * power number in the benchmark harness is derived from these values plus
- * activity counts, exactly as the paper's analytical model does.
+ * ("Component Specifications for NEBULA"). Every architectural energy
+ * and power number in the benchmark harness is derived from these
+ * values, the fixed parameters of common/chip_params.hpp and activity
+ * counts, exactly as the paper's analytical model does.
  *
  * Power values are average operating power of the component when active;
  * energies are derived as power * cycle time unless a per-op energy is
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/chip_params.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 
@@ -30,78 +32,90 @@ struct ComponentSpec
     long long count = 1;   //!< instances within the scope
     double power = 0.0;    //!< active power of the whole row (W)
     double area = 0.0;     //!< area of the whole row (mm^2)
-
-    /** Power of a single instance. */
-    double unitPower() const { return power / count; }
 };
 
 /** Operating mode of a neural core. */
 enum class Mode { ANN, SNN };
 
-/** Short human-readable mode name. */
-const char *modeName(Mode mode);
-
 /**
- * The NEBULA component database (paper Table III) with derived
- * convenience accessors used by the energy model.
+ * The NEBULA component database (paper Table III). The rows are its
+ * only copy of the paper's powers; the pricing accessors read them.
  */
 class ComponentDb
 {
   public:
+    /** Table III rows, in the paper's order. */
+    enum Row {
+        Edram,
+        Adc,
+        AnnSuperTile,
+        SnnSuperTile,
+        AnnInputBuffer,
+        SnnInputBuffer,
+        AnnOutputBuffer,
+        SnnOutputBuffer,
+        AnnDac,
+        AnnCrossbar,
+        SnnDriver,
+        SnnCrossbar,
+        NeuronUnit,
+        AuAdder,
+        AuRegister,
+        AnnCoreRow,
+        SnnCoreRow,
+        Accumulators,
+        kRowCount
+    };
+
     ComponentDb();
-
-    /** Pipeline stage duration (s); 110 ns per Sec. IV-B5. */
-    double cycleTime() const { return 110 * units::ns; }
-
-    /** Digital component clock (Hz). */
-    double digitalClock() const { return 1.2e9; }
 
     // -- Neural-core level (power in W, per single NC) -------------------
 
-    double edramPower() const { return 9.55 * units::mW; }
-    double adcPower() const { return 0.43 * units::mW; }
-    double superTilePower(Mode mode) const;
-    double inputBufferPower(Mode mode) const;
-    double outputBufferPower(Mode mode) const;
+    double edramPower() const { return power(Edram); }
+    double adcPower() const { return power(Adc); }
+    double superTilePower(Mode mode) const
+    {
+        return power(mode == Mode::ANN ? AnnSuperTile : SnnSuperTile);
+    }
+    double inputBufferPower(Mode mode) const
+    {
+        return power(mode == Mode::ANN ? AnnInputBuffer : SnnInputBuffer);
+    }
+    double outputBufferPower(Mode mode) const
+    {
+        return power(mode == Mode::ANN ? AnnOutputBuffer : SnnOutputBuffer);
+    }
     double corePower(Mode mode) const;
 
     // -- Super-tile internals (power of all instances in one NC) ---------
 
     /** ANN DAC drivers (16 x 128 @ 0.75 V, 4-bit). */
-    double annDacPower() const { return 26.56 * units::mW; }
+    double annDacPower() const { return power(AnnDac); }
     /** SNN spike drivers (16 x 128 @ 0.25 V, 1-bit). */
-    double snnDriverPower() const { return 0.904 * units::mW; }
+    double snnDriverPower() const { return power(SnnDriver); }
     /** All 16 crossbars of one NC. */
-    double crossbarPower(Mode mode) const;
+    double crossbarPower(Mode mode) const
+    {
+        return power(mode == Mode::ANN ? AnnCrossbar : SnnCrossbar);
+    }
     /** All 23 x 128 neuron units of one NC. */
-    double neuronUnitPower() const { return 0.151 * units::mW; }
+    double neuronUnitPower() const { return power(NeuronUnit); }
 
     // -- Accumulator unit -------------------------------------------------
 
-    double accumulatorAdderPower() const { return 0.355 * units::mW; }
-    double accumulatorRegisterPower() const { return 0.545 * units::mW; }
+    double accumulatorAdderPower() const { return power(AuAdder); }
+    double accumulatorRegisterPower() const { return power(AuRegister); }
+    /**
+     * One AU (adders + registers). Kept as its own literal: the row sum
+     * and the Accumulators row's 12.6 mW / 14 both round to 0.0009 W,
+     * one ulp below the value every energy figure was computed with.
+     */
     double accumulatorPower() const { return 0.9 * units::mW; }
 
     // -- Chip level --------------------------------------------------------
 
-    int annCoreCount() const { return 14; }
-    int snnCoreCount() const { return 14 * 13; }
-    int accumulatorCount() const { return 14; }
     double chipPower() const { return 5.2 * units::watt; }
     double chipArea() const { return 86.729; } // mm^2
-
-    // -- Geometry ----------------------------------------------------------
-
-    /** Atomic crossbar dimension M (rows == cols == 128). */
-    int atomicSize() const { return 128; }
-    /** Atomic crossbars per NC (2x2 tiles of 2x2 ACs). */
-    int crossbarsPerCore() const { return 16; }
-    /** Largest receptive field a super-tile can aggregate (16M). */
-    int maxInCoreReceptiveField() const { return 16 * atomicSize(); }
-    /** Weight / activation precision (bits). */
-    int precisionBits() const { return 4; }
-    /** NU rows per NC (16 at H0 + 4 at H1 + 2 at H2 + spare = 23). */
-    int neuronUnitRows() const { return 23; }
 
     /** All Table III rows (for the Table III regeneration bench). */
     const std::vector<ComponentSpec> &rows() const { return rows_; }
@@ -110,6 +124,8 @@ class ComponentDb
     Table toTable() const;
 
   private:
+    double power(Row row) const { return rows_[row].power; }
+
     std::vector<ComponentSpec> rows_;
 };
 

@@ -59,6 +59,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/chip_params.hpp"
 #include "device/dw_params.hpp"
 #include "device/mtj.hpp"
 #include "reliability/fault_model.hpp"
@@ -69,17 +70,17 @@ namespace nebula {
 /** Crossbar electrical configuration. */
 struct CrossbarParams
 {
-    int rows = 128;
-    int cols = 128;
+    int rows = kAtomicSize;
+    int cols = kAtomicSize;
 
     /** Physical spare columns available for repair (0 = none). */
     int spareCols = 0;
 
     /** Read supply voltage on the bit-lines (V). SNN 0.25, ANN 0.75. */
-    double readVoltage = 0.25;
+    double readVoltage = kSnnDriverVoltage;
 
     /** Number of programmable conductance levels per cell. */
-    int levels = 16;
+    int levels = 1 << kPrecisionBits;
 
     /** MTJ stack of the synaptic cells. */
     MtjParams mtj;

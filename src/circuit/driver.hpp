@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/chip_params.hpp"
 #include "common/logging.hpp"
 #include "common/rounding.hpp"
 #include "common/units.hpp"
@@ -27,7 +28,8 @@ class DacDriver
      * @param bits          Resolution (4 -> 16 levels).
      * @param supplyVoltage Full-scale voltage (0.75 V).
      */
-    DacDriver(int bits = 4, double supplyVoltage = 0.75);
+    DacDriver(int bits = kPrecisionBits,
+              double supplyVoltage = kAnnDriverVoltage);
 
     /**
      * Quantize a normalized activation in [0, 1] to a level code.
@@ -72,7 +74,8 @@ class DacDriver
 class SpikeDriver
 {
   public:
-    explicit SpikeDriver(double supplyVoltage = 0.25) : supply_(supplyVoltage)
+    explicit SpikeDriver(double supplyVoltage = kSnnDriverVoltage)
+        : supply_(supplyVoltage)
     {
     }
 

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/chip_params.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "device/neuron_device.hpp"
@@ -47,10 +48,10 @@ nuDeviceCurrent(double column_current, double gain, double bias)
 /** Configuration of one neuron unit. */
 struct NeuronUnitParams
 {
-    int count = 128;             //!< neurons (one per column)
-    double window = 110e-9;      //!< integration window (s)
+    int count = kAtomicSize;     //!< neurons (one per column)
+    double window = kCycleTime;  //!< integration window (s)
     NeuronDeviceParams device;   //!< underlying DW-MTJ neuron
-    int levels = 16;             //!< ANN output resolution
+    int levels = 1 << kPrecisionBits; //!< ANN output resolution
 };
 
 /** NU operating as spiking (IF) neurons. */

@@ -39,6 +39,7 @@
  */
 #define NEBULA_TARGET_CLONES \
     __attribute__((target_clones("default", "avx2", "avx512f")))
+#define NEBULA_HAS_TARGET_CLONES 1
 #else
 #define NEBULA_TARGET_CLONES
 #endif

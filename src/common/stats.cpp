@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <fstream>
 
 #include "common/json.hpp"
 #include "common/logging.hpp"
@@ -243,24 +242,6 @@ StatGroup::toTable() const
     return table;
 }
 
-Table
-StatGroup::histogramTable() const
-{
-    Table table(name_ + " quantiles",
-                {"hist", "count", "mean", "p50", "p95", "p99"});
-    for (const auto &kv : histograms_) {
-        const Histogram &h = kv.second;
-        table.row()
-            .add(kv.first)
-            .add(static_cast<long long>(h.count()))
-            .add(h.mean(), 4)
-            .add(h.p50(), 4)
-            .add(h.p95(), 4)
-            .add(h.p99(), 4);
-    }
-    return table;
-}
-
 std::string
 StatGroup::toCsv() const
 {
@@ -328,26 +309,6 @@ StatGroup::toJson() const
     out += first ? "}\n" : "\n  }\n";
     out += "}\n";
     return out;
-}
-
-bool
-StatGroup::writeCsv(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << toCsv();
-    return static_cast<bool>(out);
-}
-
-bool
-StatGroup::writeJson(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    out << toJson();
-    return static_cast<bool>(out);
 }
 
 void

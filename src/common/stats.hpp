@@ -158,9 +158,6 @@ class StatGroup
      */
     Table toTable() const;
 
-    /** Quantile view of the histograms (count, mean, p50/p95/p99). */
-    Table histogramTable() const;
-
     /**
      * Render as CSV: one `kind,stat,sum,count,mean,min,max,p50,p95,p99`
      * line per stat (quantile columns empty for scalars). Deterministic
@@ -173,10 +170,6 @@ class StatGroup
      * deterministic (names sorted) so snapshots diff cleanly.
      */
     std::string toJson() const;
-
-    /** Write toCsv()/toJson() to a file; false on I/O error. */
-    bool writeCsv(const std::string &path) const;
-    bool writeJson(const std::string &path) const;
 
     /** Reset every stat in the group. */
     void reset();

@@ -19,6 +19,7 @@
 #ifndef NEBULA_DEVICE_DW_PARAMS_HPP
 #define NEBULA_DEVICE_DW_PARAMS_HPP
 
+#include "common/chip_params.hpp"
 #include "common/units.hpp"
 
 namespace nebula {
@@ -106,7 +107,7 @@ struct SynapseDeviceParams
     MtjParams mtj;
 
     /** Programming pulse width (one pipeline stage). */
-    double pulseWidth = 110 * units::ns;
+    double pulseWidth = kCycleTime;
 
     /** Programming voltage across the heavy metal (paper: ~100 mV). */
     double programVoltage = 100 * units::mV;

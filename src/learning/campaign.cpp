@@ -65,7 +65,7 @@ runLearningCampaign(const Dataset &data,
             xp.rows = rows;
             xp.cols = clusters;
             xp.spareCols = config.spareCols;
-            xp.readVoltage = 0.25; // SNN-mode sensing
+            xp.readVoltage = kSnnDriverVoltage; // SNN-mode sensing
             CrossbarArray xbar(xp);
 
             if (rate > 0.0) {

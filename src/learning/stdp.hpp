@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "circuit/crossbar.hpp"
+#include "common/chip_params.hpp"
 #include "nn/datasets.hpp"
 #include "snn/encoder.hpp"
 #include "snn/if_layer.hpp"
@@ -82,7 +83,7 @@ struct StdpConfig
     ProgrammingConfig write;
 
     /** Integration window per read (s); scales read energy only. */
-    double readDuration = 110e-9;
+    double readDuration = kCycleTime;
 
     /** Emit learning.* trace spans. */
     bool trace = false;

@@ -107,8 +107,7 @@ MeshNoc::drain()
         trace.latency = cycle - packet.injectCycle;
         traces.push_back(trace);
 
-        dynamicEnergy_ +=
-            static_cast<double>(hops) * flits * config_.energyPerFlitHop;
+        dynamicEnergy_ += static_cast<double>(hops) * flits * kFlitHopEnergy;
         ++delivered_;
         stats_.scalar("noc.latency").sample(static_cast<double>(trace.latency));
         stats_.scalar("noc.hops").sample(hops);
@@ -141,8 +140,7 @@ MeshNoc::transferEnergy(const NodeId &src, const NodeId &dst,
     const long long flits =
         std::max<long long>(1, (bits + config_.flitBits - 1) /
                                    config_.flitBits);
-    return static_cast<double>(manhattan(src, dst)) * flits *
-           config_.energyPerFlitHop;
+    return static_cast<double>(manhattan(src, dst)) * flits * kFlitHopEnergy;
 }
 
 void

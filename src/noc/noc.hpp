@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/chip_params.hpp"
 #include "common/stats.hpp"
 
 namespace nebula {
@@ -51,15 +52,13 @@ struct PacketTrace
     long long latency = 0; //!< arrive - inject
 };
 
-/** Mesh configuration. */
+/** Mesh configuration (defaults: the NEBULA chip's mesh). */
 struct NocConfig
 {
-    int width = 14;
-    int height = 14;
-    int flitBits = 32;          //!< flit payload width
+    int width = kMeshWidth;
+    int height = kMeshHeight;
+    int flitBits = kFlitBits;   //!< flit payload width
     int hopLatency = 1;         //!< router+link traversal (cycles/hop)
-    double energyPerFlitHop = 0.15e-12; //!< J per flit per hop (32 nm)
-    double routerLeakage = 0.05e-3;     //!< W per router (static)
 };
 
 /** XY-routed mesh with per-link serialization. */
@@ -80,7 +79,8 @@ class MeshNoc
     /** XY route: list of (node, direction) hops from src to dst. */
     static int manhattan(const NodeId &a, const NodeId &b);
 
-    /** Total dynamic energy of everything drained so far (J). */
+    /** Dynamic energy of everything drained so far (J, kFlitHopEnergy
+     *  per flit per hop). */
     double dynamicEnergy() const { return dynamicEnergy_; }
 
     /** Total delivered packets. */
@@ -91,8 +91,6 @@ class MeshNoc
 
     /** Reset link state and statistics. */
     void reset();
-
-    const NocConfig &config() const { return config_; }
 
     /**
      * Analytic energy of moving @p bits from @p src to @p dst once,

@@ -108,9 +108,6 @@ struct EngineConfig
      */
     uint64_t defaultDeadlineNs = 0;
 
-    /** Smoothing of the service-time EWMA admission control reads. */
-    double serviceEwmaAlpha = 0.2;
-
     /**
      * Supervisor restart threshold: after this many *consecutive*
      * ReplicaFault outcomes a worker quarantines its replica and

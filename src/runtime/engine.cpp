@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -12,12 +13,26 @@
 
 namespace nebula {
 
+namespace {
+
+/** Smoothing of the service-time EWMA admission control reads. */
+constexpr double kServiceEwmaAlpha = 0.2;
+
+} // namespace
+
 InferenceEngine::InferenceEngine(EngineConfig config,
                                  const ReplicaFactory &factory)
     : config_(std::move(config)), factory_(factory),
       queue_(config_.queueCapacity)
 {
-    NEBULA_ASSERT(config_.numWorkers >= 0, "negative worker count");
+    // Refuse configs that cannot serve: a negative pool has no
+    // workers to start, and an SNN request run for zero timesteps has
+    // no evidence to classify.
+    if (config_.numWorkers < 0)
+        throw std::invalid_argument("EngineConfig: numWorkers must be >= 0");
+    if (config_.defaultTimesteps < 1)
+        throw std::invalid_argument(
+            "EngineConfig: defaultTimesteps must be >= 1");
     NEBULA_ASSERT(factory_, "null replica factory");
 
     HealthMonitor *health = config_.health.get();
@@ -242,7 +257,7 @@ InferenceEngine::noteServiceTime(double seconds)
     do {
         next = current <= 0.0
                    ? seconds
-                   : current + config_.serviceEwmaAlpha * (seconds - current);
+                   : current + kServiceEwmaAlpha * (seconds - current);
     } while (!serviceEwmaSec_.compare_exchange_weak(
         current, next, std::memory_order_relaxed));
 }

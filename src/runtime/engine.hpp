@@ -64,6 +64,9 @@ class InferenceEngine
      * id 0, in inline mode) and must produce identically-programmed
      * replicas for the determinism guarantee to hold. The engine keeps
      * a copy of @p factory for supervisor restarts.
+     *
+     * @throws std::invalid_argument if config.numWorkers < 0 or
+     *         config.defaultTimesteps < 1.
      */
     InferenceEngine(EngineConfig config, const ReplicaFactory &factory);
 

@@ -205,7 +205,8 @@ buildCase(const CaseConfig &config)
     params.cols = config.cols;
     params.spareCols = config.spareCols;
     params.levels = config.levels;
-    params.readVoltage = config.snnMode ? 0.25 : 0.75;
+    params.readVoltage =
+        config.snnMode ? kSnnDriverVoltage : kAnnDriverVoltage;
     params.variationSigma = config.variationSigma;
     params.variationSeed = config.seed ^ 0x5eedull;
     params.abft = config.abft;

@@ -589,8 +589,8 @@ TEST(ComponentDb, MatchesPaperTotals)
     EXPECT_NEAR(toMw(db.corePower(Mode::ANN)), 113.8, 0.2);
     EXPECT_NEAR(toMw(db.corePower(Mode::SNN)), 19.66, 0.05);
     EXPECT_NEAR(db.chipPower(), 5.2, 1e-9);
-    EXPECT_EQ(db.annCoreCount(), 14);
-    EXPECT_EQ(db.snnCoreCount(), 182);
+    EXPECT_EQ(kAnnCores, 14);
+    EXPECT_EQ(kSnnCores, 182);
 }
 
 TEST(ComponentDb, SnnSupertileFarCheaperThanAnn)
@@ -603,11 +603,10 @@ TEST(ComponentDb, SnnSupertileFarCheaperThanAnn)
 
 TEST(ComponentDb, GeometryConstants)
 {
-    const ComponentDb &db = componentDb();
-    EXPECT_EQ(db.atomicSize(), 128);
-    EXPECT_EQ(db.crossbarsPerCore(), 16);
-    EXPECT_EQ(db.maxInCoreReceptiveField(), 2048);
-    EXPECT_EQ(db.precisionBits(), 4);
+    EXPECT_EQ(kAtomicSize, 128);
+    EXPECT_EQ(kCrossbarsPerCore, 16);
+    EXPECT_EQ(kMaxInCoreRf, 2048);
+    EXPECT_EQ(kPrecisionBits, 4);
 }
 
 TEST(ComponentDb, TableHasAllRows)

@@ -149,7 +149,7 @@ TEST(MapperOptions, RigidTilesUseMoreCrossbars)
     const auto adaptive = LayerMapper().mapLayer(conv, 0);
     MapperOptions rigid;
     rigid.morphableTiles = false;
-    const auto fixed = LayerMapper({}, rigid).mapLayer(conv, 0);
+    const auto fixed = LayerMapper(rigid).mapLayer(conv, 0);
 
     EXPECT_EQ(adaptive.chain, 2);
     EXPECT_EQ(fixed.chain, 16);
@@ -165,7 +165,7 @@ TEST(MapperOptions, NoHierarchyForcesAdcOnChainedLayers)
 
     MapperOptions no_nu;
     no_nu.nuHierarchy = false;
-    const auto m = LayerMapper({}, no_nu).mapLayer(conv, 0);
+    const auto m = LayerMapper(no_nu).mapLayer(conv, 0);
     EXPECT_TRUE(m.needsAdc);
     EXPECT_EQ(m.adcConversions,
               m.positions * static_cast<long long>(m.kernels) * m.chain);
@@ -174,7 +174,7 @@ TEST(MapperOptions, NoHierarchyForcesAdcOnChainedLayers)
     Conv2d small(3, 16, 3, 1, 1);
     Tensor y({1, 3, 8, 8});
     small.forward(y);
-    EXPECT_FALSE(LayerMapper({}, no_nu).mapLayer(small, 0).needsAdc);
+    EXPECT_FALSE(LayerMapper(no_nu).mapLayer(small, 0).needsAdc);
 }
 
 class MapperRfSweep : public ::testing::TestWithParam<int>

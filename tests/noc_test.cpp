@@ -104,7 +104,7 @@ TEST(Noc, TransferEnergyMatchesAnalytic)
     MeshNoc noc(smallMesh());
     const double e = noc.transferEnergy({0, 0}, {2, 2}, 64);
     // 4 hops, 2 flits.
-    EXPECT_NEAR(e, 4 * 2 * noc.config().energyPerFlitHop, 1e-18);
+    EXPECT_NEAR(e, 4 * 2 * kFlitHopEnergy, 1e-18);
 }
 
 TEST(Noc, DrainDeliversEverything)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -417,6 +418,51 @@ TEST(Runtime, TrySubmitRefusesWhenFull)
         EXPECT_EQ(future.get().logits.size(), kClasses);
     engine.shutdown();
     EXPECT_EQ(engine.completed(), engine.submitted());
+}
+
+// ---------------------------------------------------------------------------
+// Engine config validation
+// ---------------------------------------------------------------------------
+
+/** The engine refuses @p cfg with a typed error, before building a replica. */
+void
+expectRejected(const EngineConfig &cfg)
+{
+    Prototypes &p = protos();
+    const ReplicaFactory inner = makeAnnReplicaFactory(p.quantNet, p.quant);
+    int built = 0;
+    const ReplicaFactory counting = [&](int id) {
+        ++built;
+        return inner(id);
+    };
+    EXPECT_THROW(InferenceEngine(cfg, counting), std::invalid_argument);
+    EXPECT_EQ(built, 0);
+}
+
+TEST(RuntimeEngineConfig, NegativeWorkerCountIsRejected)
+{
+    EngineConfig cfg;
+    cfg.numWorkers = -1;
+    expectRejected(cfg);
+}
+
+TEST(RuntimeEngineConfig, ZeroDefaultTimestepsIsRejected)
+{
+    EngineConfig cfg;
+    cfg.defaultTimesteps = 0;
+    expectRejected(cfg);
+}
+
+TEST(RuntimeEngineConfig, InlineModeWithOneTimestepIsAccepted)
+{
+    // The bounds themselves are valid: inline mode, one SNN step.
+    Prototypes &p = protos();
+    EngineConfig cfg;
+    cfg.numWorkers = 0;
+    cfg.defaultTimesteps = 1;
+    InferenceEngine engine(cfg, makeSnnReplicaFactory(p.snn));
+    EXPECT_EQ(engine.submit(p.data.image(0)).get().timesteps, 1);
+    engine.shutdown();
 }
 
 } // namespace
